@@ -1,8 +1,10 @@
-//! Instrumented applications the scenario runner installs on the hosts:
-//! they record *what* arrived and *where it claimed to belong*, so the
-//! invariant checkers can compare against the transmitted stream.
+//! The one instrumented application every scenario host runs: it starts
+//! the host's TLS streams and NVMe reads, and records *what* arrived on
+//! each connection and *where it claimed to belong*, so the invariant
+//! checkers can compare against the transmitted streams.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ano_sim::payload::Payload;
@@ -12,106 +14,96 @@ use ano_stack::prelude::ConnId;
 /// One delivered plaintext run: `(claimed stream offset, bytes)`.
 pub type DeliveredChunk = (u64, Vec<u8>);
 
-/// Shared recording of everything the receiving application saw.
+/// Everything one connection's receiving application saw.
 #[derive(Clone, Debug, Default)]
 pub struct Delivered {
     /// TLS plaintext chunks with their `plain_off` claims, in arrival order.
     pub chunks: Vec<DeliveredChunk>,
     /// NVMe completions: `(request id, ok, buffer bytes)`.
     pub completions: Vec<(u64, bool, Vec<u8>)>,
+    /// Payload bytes recorded so far (chunks plus completion buffers).
+    pub bytes: u64,
 }
 
 impl Delivered {
-    /// Total payload bytes recorded so far (watchdog progress metric).
-    pub fn bytes(&self) -> u64 {
-        let chunk_bytes: u64 = self.chunks.iter().map(|(_, b)| b.len() as u64).sum();
-        let comp_bytes: u64 = self.completions.iter().map(|(_, _, b)| b.len() as u64).sum();
-        chunk_bytes + comp_bytes
+    /// The delivered byte stream in canonical order: TLS chunks in arrival
+    /// order (they are in-order plaintext), NVMe read buffers by request id.
+    /// This is what the twin comparator compares between arms.
+    pub fn stream(&self) -> Vec<u8> {
+        let mut out: Vec<u8> = self
+            .chunks
+            .iter()
+            .flat_map(|(_, b)| b.iter().copied())
+            .collect();
+        let mut comps: Vec<_> = self.completions.iter().collect();
+        comps.sort_by_key(|(id, _, _)| *id);
+        for (_, _, buf) in comps {
+            out.extend_from_slice(buf);
+        }
+        out
     }
 }
 
-/// Sends one byte string at start (the TLS sender side).
-pub struct StreamSender {
-    conn: ConnId,
-    data: Vec<u8>,
+/// Per-connection delivery log shared by every host's [`FlowApp`].
+pub(crate) type DeliveryLog = Rc<RefCell<BTreeMap<ConnId, Delivered>>>;
+
+/// One host's application: at start it sends each owned TLS stream and
+/// issues each owned flow's NVMe reads; afterwards it records every
+/// delivered chunk and completion into the shared log.
+pub(crate) struct FlowApp {
+    /// `(conn, plaintext)` streams this host sends.
+    pub(crate) sends: Vec<(ConnId, Vec<u8>)>,
+    /// `(conn, reads)` NVMe reads this host issues, request id = index.
+    pub(crate) reads: Vec<(ConnId, Vec<(u64, u32)>)>,
+    log: DeliveryLog,
 }
 
-impl StreamSender {
-    /// Creates the sender.
-    pub fn new(conn: ConnId, data: Vec<u8>) -> StreamSender {
-        StreamSender { conn, data }
-    }
-}
-
-impl HostApp for StreamSender {
-    fn on_event(&mut self, api: &mut HostApi, event: AppEvent<'_>) {
-        if let AppEvent::Start = event {
-            api.send(self.conn, Payload::real(std::mem::take(&mut self.data)));
+impl FlowApp {
+    /// An idle app around the shared log.
+    pub(crate) fn new(log: &DeliveryLog) -> FlowApp {
+        FlowApp {
+            sends: Vec::new(),
+            reads: Vec::new(),
+            log: Rc::clone(log),
         }
     }
 }
 
-/// Records every delivered plaintext chunk with its claimed offset (the TLS
-/// receiver side).
-pub struct ChunkRecorder {
-    delivered: Rc<RefCell<Delivered>>,
-}
-
-impl ChunkRecorder {
-    /// Creates the recorder around a shared log.
-    pub fn new(delivered: Rc<RefCell<Delivered>>) -> ChunkRecorder {
-        ChunkRecorder { delivered }
-    }
-}
-
-impl HostApp for ChunkRecorder {
-    fn on_event(&mut self, _api: &mut HostApi, event: AppEvent<'_>) {
-        if let AppEvent::Data { chunks, .. } = event {
-            let mut d = self.delivered.borrow_mut();
-            for c in chunks {
-                d.chunks.push((c.plain_off, c.payload.to_vec()));
-            }
-        }
-    }
-}
-
-/// Issues NVMe reads at start and records completions (the initiator side).
-pub struct NvmeReadApp {
-    conn: ConnId,
-    reads: Vec<(u64, u32)>,
-    delivered: Rc<RefCell<Delivered>>,
-}
-
-impl NvmeReadApp {
-    /// Creates the initiator app.
-    pub fn new(conn: ConnId, reads: Vec<(u64, u32)>, delivered: Rc<RefCell<Delivered>>) -> NvmeReadApp {
-        NvmeReadApp {
-            conn,
-            reads,
-            delivered,
-        }
-    }
-}
-
-impl HostApp for NvmeReadApp {
+impl HostApp for FlowApp {
     fn on_event(&mut self, api: &mut HostApi, event: AppEvent<'_>) {
         match event {
             AppEvent::Start => {
-                for (i, &(off, len)) in self.reads.iter().enumerate() {
-                    api.nvme_read(self.conn, i as u64, off, len);
+                for (conn, data) in std::mem::take(&mut self.sends) {
+                    api.send(conn, Payload::real(data));
+                }
+                for (conn, reads) in &self.reads {
+                    for (i, &(off, len)) in reads.iter().enumerate() {
+                        api.nvme_read(*conn, i as u64, off, len);
+                    }
                 }
             }
-            AppEvent::NvmeDone { completion, .. } => {
+            AppEvent::Data { conn, chunks } => {
+                let mut log = self.log.borrow_mut();
+                let d = log.entry(conn).or_default();
+                for c in chunks {
+                    d.bytes += c.payload.len() as u64;
+                    d.chunks.push((
+                        c.plain_off,
+                        c.payload.as_real().map(Vec::from).unwrap_or_default(),
+                    ));
+                }
+            }
+            AppEvent::NvmeDone { conn, completion } => {
                 let buf = completion
                     .buffer
                     .as_ref()
                     // ano-lint: allow(hot-alloc): functional-mode read-completion copy handed to the app, inventoried for arena round 2 (ROADMAP item 1)
                     .map(|b| b.borrow().clone())
                     .unwrap_or_default();
-                self.delivered
-                    .borrow_mut()
-                    .completions
-                    .push((completion.id, completion.ok, buf));
+                let mut log = self.log.borrow_mut();
+                let d = log.entry(conn).or_default();
+                d.bytes += buf.len() as u64;
+                d.completions.push((completion.id, completion.ok, buf));
             }
             _ => {}
         }

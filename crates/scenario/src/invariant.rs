@@ -1,10 +1,18 @@
-//! World-level invariant checkers, evaluated at every scenario step.
+//! World-level invariants: per-step checkers, end-of-run checks for one
+//! arm, and the twin comparator that holds the offload arm to its
+//! software twin.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use ano_core::rx::RxStateKind;
+use ano_sim::link::LinkMode;
 use ano_sim::time::{SimDuration, SimTime};
+use ano_stack::prelude::ConnId;
+use ano_stack::world::{NetOp, NetPlan};
 use ano_trace::ResyncPhase;
 
 use crate::apps::Delivered;
+use crate::run::{Arm, FlowRun, Outcome};
 use crate::scenario::{Scenario, Workload};
 
 /// One invariant violation (collected, not panicked, so a single run can
@@ -33,9 +41,8 @@ impl std::fmt::Display for Violation {
 /// with a full fresh budget at repair, so recovery gets the same grace a
 /// cold start does.
 ///
-/// Shared by the two-host [`Checkers`] and the fleet netchaos runner
-/// (`crate::netchaos`), which derives its windows from the world's
-/// `NetPlan` via `NetPlan::outage_windows`.
+/// The windows are the scenario's declared outages plus its network
+/// plan's (`NetPlan::outage_windows`).
 pub(crate) struct ProgressWatchdog {
     budget: SimDuration,
     /// Declared `[from, to]` outage windows. Deliberately explicit, never
@@ -54,11 +61,6 @@ impl ProgressWatchdog {
             last_at: SimTime::ZERO,
             last_bytes: 0,
         }
-    }
-
-    /// Total bytes seen so far (for completion reporting).
-    pub(crate) fn bytes(&self) -> u64 {
-        self.last_bytes
     }
 
     /// Feeds one observation; returns the stall detail if the watchdog
@@ -93,11 +95,10 @@ impl ProgressWatchdog {
 
 /// Step-by-step invariant state for one run.
 pub(crate) struct Checkers {
-    expected: Vec<u8>,
-    /// Chunks / completions already verified (only new ones are checked
-    /// each step, keeping the step loop linear in delivered bytes).
-    checked_chunks: usize,
-    checked_completions: usize,
+    /// Per flow (connect order): chunks and completions already verified
+    /// — only new ones are checked each step, keeping the step loop
+    /// linear in delivered bytes.
+    checked: Vec<(usize, usize)>,
     progress: ProgressWatchdog,
     /// Whether the watchdog applies (disabled for unrecoverable scenarios,
     /// which stall by design once the damage is done).
@@ -107,110 +108,37 @@ pub(crate) struct Checkers {
 
 impl Checkers {
     pub(crate) fn new(sc: &Scenario) -> Checkers {
+        let mut outages = sc.outages.clone();
+        outages.extend(sc.plan.outage_windows(SimTime::ZERO + sc.sim_budget));
         Checkers {
-            expected: sc.workload.expected(),
-            checked_chunks: 0,
-            checked_completions: 0,
-            progress: ProgressWatchdog::new(sc.progress_budget, sc.declared_partitions.clone()),
+            checked: Vec::new(),
+            progress: ProgressWatchdog::new(sc.progress_budget, outages),
             watchdog: sc.expect_complete,
             violations: Vec::new(),
         }
     }
 
-    pub(crate) fn expected(&self) -> &[u8] {
-        &self.expected
-    }
-
-    /// Runs the per-step checks after the world advanced to `now`.
-    pub(crate) fn step(&mut self, now: SimTime, sc: &Scenario, delivered: &Delivered) {
-        self.check_stream_integrity(now, sc, delivered);
-        self.check_forward_progress(now, delivered);
-    }
-
-    /// Every newly delivered chunk must carry exactly the transmitted bytes
-    /// at the offset it claims — under any impairment, corruption included:
-    /// damaged records may *vanish* (auth reject) but never mutate.
-    fn check_stream_integrity(&mut self, now: SimTime, sc: &Scenario, delivered: &Delivered) {
-        for (off, bytes) in &delivered.chunks[self.checked_chunks..] {
-            let start = *off as usize;
-            let end = start + bytes.len();
-            if end > self.expected.len() {
-                self.violations.push(Violation {
-                    invariant: "stream-integrity",
-                    at: now,
-                    detail: format!(
-                        "chunk [{start}, {end}) extends past the {}-byte transmitted stream",
-                        self.expected.len()
-                    ),
-                });
-            } else if bytes != &self.expected[start..end] {
-                let bad = bytes
-                    .iter()
-                    .zip(&self.expected[start..end])
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0);
-                self.violations.push(Violation {
-                    invariant: "stream-integrity",
-                    at: now,
-                    detail: format!(
-                        "delivered bytes diverge from transmitted stream at offset {}",
-                        start + bad
-                    ),
-                });
+    /// Runs the per-step checks after the world advanced to `now`; returns
+    /// the bytes delivered so far.
+    pub(crate) fn step(
+        &mut self,
+        now: SimTime,
+        flows: &[FlowRun],
+        log: &BTreeMap<ConnId, Delivered>,
+    ) -> u64 {
+        self.checked.resize(flows.len(), (0, 0));
+        let mut bytes = 0;
+        for (f, checked) in flows.iter().zip(&mut self.checked) {
+            if let Some(d) = log.get(&f.conn) {
+                bytes += d.bytes;
+                stream_integrity(now, f, d, checked, &mut self.violations);
             }
         }
-        self.checked_chunks = delivered.chunks.len();
-
-        if let Workload::Nvme { reads } | Workload::NvmeTls { reads } = &sc.workload {
-            for (id, ok, buf) in &delivered.completions[self.checked_completions..] {
-                let Some(&(dev_off, len)) = reads.get(*id as usize) else {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("completion for unknown request id {id}"),
-                    });
-                    continue;
-                };
-                if !ok {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id} completed with digest failure"),
-                    });
-                    continue;
-                }
-                if buf.len() != len as usize {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id}: {} bytes placed, expected {len}", buf.len()),
-                    });
-                    continue;
-                }
-                if let Some(j) = buf
-                    .iter()
-                    .enumerate()
-                    .find(|&(j, &v)| v != ano_nvme::block::pattern_byte(dev_off + j as u64))
-                    .map(|(j, _)| j)
-                {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id}: wrong device byte at buffer offset {j}"),
-                    });
-                }
-            }
-            self.checked_completions = delivered.completions.len();
-        }
-    }
-
-    /// Watchdog: some byte must land within every `progress_budget` window
-    /// until the transfer completes (suspended inside declared outages).
-    fn check_forward_progress(&mut self, now: SimTime, delivered: &Delivered) {
-        let target = self.expected.len() as u64;
-        let stalled = self.progress.observe(now, delivered.bytes(), target);
-        if self.watchdog {
-            if let Some(detail) = stalled {
+        // Watchdog: some byte must land within every `progress_budget`
+        // window until the transfer completes (suspended inside outages).
+        let target = flows.iter().map(|f| f.expected.len() as u64).sum();
+        if let Some(detail) = self.progress.observe(now, bytes, target) {
+            if self.watchdog {
                 self.violations.push(Violation {
                     invariant: "forward-progress",
                     at: now,
@@ -218,96 +146,431 @@ impl Checkers {
                 });
             }
         }
+        bytes
+    }
+}
+
+/// Every newly delivered chunk must carry exactly the transmitted bytes at
+/// the offset it claims — under any impairment, corruption included:
+/// damaged records may *vanish* (auth reject) but never mutate. Every new
+/// NVMe completion must be a known, digest-clean read of the right device
+/// bytes.
+fn stream_integrity(
+    now: SimTime,
+    f: &FlowRun,
+    d: &Delivered,
+    checked: &mut (usize, usize),
+    out: &mut Vec<Violation>,
+) {
+    let mut flag = |detail: String| {
+        out.push(Violation {
+            invariant: "stream-integrity",
+            at: now,
+            detail: format!("conn {}: {detail}", f.conn.0),
+        })
+    };
+    let want = &f.expected;
+    for (off, bytes) in &d.chunks[checked.0..] {
+        let (start, end) = (*off as usize, *off as usize + bytes.len());
+        if end > want.len() {
+            flag(format!(
+                "chunk [{start}, {end}) extends past the {}-byte transmitted stream",
+                want.len()
+            ));
+        } else if let Some(bad) = bytes
+            .iter()
+            .zip(&want[start..end])
+            .position(|(a, b)| a != b)
+        {
+            flag(format!(
+                "delivered bytes diverge from transmitted stream at offset {}",
+                start + bad
+            ));
+        }
+    }
+    for (id, ok, buf) in &d.completions[checked.1..] {
+        let Some(&(dev_off, len)) = f.reads.get(*id as usize) else {
+            flag(format!("completion for unknown request id {id}"));
+            continue;
+        };
+        if !ok {
+            flag(format!("read {id} completed with digest failure"));
+        } else if buf.len() != len as usize {
+            flag(format!(
+                "read {id}: {} bytes placed, expected {len}",
+                buf.len()
+            ));
+        } else if let Some(j) =
+            (0..buf.len()).find(|&j| buf[j] != ano_nvme::block::pattern_byte(dev_off + j as u64))
+        {
+            flag(format!("read {id}: wrong device byte at buffer offset {j}"));
+        }
+    }
+    *checked = (d.chunks.len(), d.completions.len());
+}
+
+/// The directed pairs `plan` darkens at some point: every crossing of a
+/// `Partition` group pair (both directions) and, unless `partitions_only`,
+/// every `Hold` pair. Only partitions swallow frames into
+/// `LinkStats::partitioned`; holds park deliveries and count nothing.
+pub fn dark_pairs(plan: &NetPlan, partitions_only: bool) -> BTreeSet<(u16, u16)> {
+    let mut out = BTreeSet::new();
+    for (_, op) in plan.steps() {
+        match op {
+            NetOp::Partition(a, b) => {
+                for &x in a {
+                    for &y in b {
+                        out.insert((x, y));
+                        out.insert((y, x));
+                    }
+                }
+            }
+            NetOp::Hold(src, dst) if !partitions_only => {
+                out.insert((*src, *dst));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// End-of-run checks for one arm: completion and per-flow byte identity
+/// against the expected streams, auth accounting, the §4.3 ladder
+/// (legality, reconvergence), and — when the scenario has them — the
+/// device-fault degradation and network-plan contracts.
+pub(crate) fn finish_checks(sc: &Scenario, out: &Outcome) -> Vec<Violation> {
+    let mut v = Vec::new();
+    let mut flag = |invariant: &'static str, detail: String| {
+        v.push(Violation {
+            invariant,
+            at: out.end,
+            detail,
+        })
+    };
+    let offload = out.arm == Arm::Offload;
+    let world = &out.world;
+
+    if sc.expect_complete {
+        if !out.complete() {
+            let got: u64 = out.flows.iter().map(|f| f.delivered.bytes).sum();
+            let want: u64 = out.flows.iter().map(|f| f.expected.len() as u64).sum();
+            flag(
+                "completion",
+                format!("transfer incomplete at sim budget ({got} of {want} bytes)"),
+            );
+        }
+        for f in &out.flows {
+            let got = f.delivered.stream();
+            if got != f.expected {
+                flag(
+                    "stream-integrity",
+                    format!(
+                        "conn {} delivered {} of {} bytes{}",
+                        f.conn.0,
+                        got.len(),
+                        f.expected.len(),
+                        if f.expected.starts_with(&got) {
+                            ""
+                        } else {
+                            ", corrupted"
+                        }
+                    ),
+                );
+            }
+        }
     }
 
-    /// End-of-run checks: completion, auth accounting, reconvergence.
-    ///
-    /// `resync` is the receiver engine's ordered `(from, to)` transition
-    /// list from the trace. When present it carries strictly more
-    /// information than the final [`RxStateKind`]: the engine must not only
-    /// *end* in `Offloading`, it must have gotten there through legal §4.3
-    /// edges — in particular, every return to hardware offload must pass
-    /// through software confirmation (`Tracking → Confirmed → Offloading`).
-    pub(crate) fn finish(
-        &mut self,
-        now: SimTime,
-        sc: &Scenario,
-        offload: bool,
-        complete: bool,
-        alerts: u64,
-        link_corrupted: u64,
-        rx_state: Option<RxStateKind>,
-        resync: &[(ResyncPhase, ResyncPhase)],
-    ) {
-        if sc.expect_complete && !complete {
-            self.violations.push(Violation {
-                invariant: "completion",
-                at: now,
-                detail: format!(
-                    "transfer incomplete at sim budget ({} of {} bytes)",
-                    self.progress.bytes(),
-                    self.expected.len()
+    // Auth integrity: alerts appear exactly when the link corrupted
+    // something. A corrupted record that produced no alert was either
+    // dropped silently (masking) or — worse — authenticated.
+    let mut pairs = Vec::new();
+    for c in 0..sc.shape.clients as u16 {
+        for s in out.servers.clone() {
+            pairs.extend([(c, s as u16), (s as u16, c)]);
+        }
+    }
+    let links: Vec<_> = pairs
+        .iter()
+        .map(|&(a, b)| ((a, b), world.link_stats_between(a, b)))
+        .collect();
+    let corrupted: u64 = links.iter().map(|(_, s)| s.corrupted).sum();
+    let alerts: u64 = out.flows.iter().map(|f| f.alerts).sum();
+    let tls = out
+        .flows
+        .iter()
+        .any(|f| matches!(f.workload, Workload::Tls { .. } | Workload::TlsRx { .. }));
+    if corrupted == 0 && alerts > 0 {
+        flag(
+            "auth-integrity",
+            format!("{alerts} TLS alerts on an uncorrupted link"),
+        );
+    }
+    if corrupted > 0 && alerts == 0 && tls {
+        flag(
+            "auth-integrity",
+            format!("link corrupted {corrupted} frame(s) but TLS raised no alert"),
+        );
+    }
+
+    // A scenario with no loss source must lose nothing: in particular a
+    // partition is not packet loss and must not masquerade as it.
+    let lossy_plan = sc
+        .plan
+        .steps()
+        .iter()
+        .any(|(_, op)| matches!(op, NetOp::Impair(..) | NetOp::SetScript(..)));
+    if sc.shape.impair.is_empty() && sc.shape.scripts.is_empty() && !lossy_plan {
+        for ((a, b), s) in &links {
+            if s.lost > 0 {
+                flag(
+                    "lossless",
+                    format!("link {a}->{b} lost {} frames with no loss source", s.lost),
+                );
+            }
+        }
+    }
+
+    // The ladder checks read the trace, so it must be whole wherever they
+    // carry the verdict.
+    let whole = out.trace_dropped == 0;
+    if !whole && (sc.expect_reconverge || !sc.plan.is_empty()) {
+        flag(
+            "trace-complete",
+            format!("trace ring overwrote {} records", out.trace_dropped),
+        );
+    }
+    let dark = dark_pairs(&sc.plan, false);
+    let touches_dark = |f: &FlowRun| {
+        let (c, s) = (f.client as u16, f.server as u16);
+        dark.contains(&(c, s)) || dark.contains(&(s, c))
+    };
+    for f in &out.flows {
+        if whole {
+            for d in check_resync_transitions(&f.ladder) {
+                flag("resync-transition", format!("conn {}: {d}", f.conn.0));
+            }
+        }
+        // Reconvergence: every offloaded flow ends back in `Offloading`
+        // through legal edges; a breaker opened by a partition is excused
+        // (a dark peer may cost a flow its offload, never its bytes).
+        if offload && sc.expect_reconverge && !(f.breaker.is_some() && touches_dark(f)) {
+            let ladder = render_ladder(&f.ladder);
+            match (f.ladder.last(), f.rx_state) {
+                (Some((_, last)), _) if *last != ResyncPhase::Offloading => flag(
+                    "resync-reconvergence",
+                    format!(
+                        "conn {}: rx engine's last transition ended in {last:?}, expected \
+                         Offloading (ladder: {ladder})",
+                        f.conn.0
+                    ),
                 ),
-            });
-        }
-
-        // Auth integrity: alerts appear exactly when the link corrupted
-        // something. A corrupted record that produced no alert was either
-        // dropped silently (masking) or — worse — authenticated.
-        let corrupting = link_corrupted > 0;
-        if !corrupting && alerts > 0 {
-            self.violations.push(Violation {
-                invariant: "auth-integrity",
-                at: now,
-                detail: format!("{alerts} TLS alerts on an uncorrupted link"),
-            });
-        }
-        if corrupting && alerts == 0 && matches!(sc.workload, Workload::Tls { .. }) {
-            self.violations.push(Violation {
-                invariant: "auth-integrity",
-                at: now,
-                detail: format!(
-                    "link corrupted {link_corrupted} frame(s) but TLS raised no alert"
+                (_, Some(RxStateKind::Offloading)) => {}
+                (_, other) => flag(
+                    "resync-reconvergence",
+                    format!(
+                        "conn {}: rx engine ended in {other:?}, expected Offloading",
+                        f.conn.0
+                    ),
                 ),
-            });
+            }
         }
+    }
 
-        for detail in check_resync_transitions(resync) {
-            self.violations.push(Violation {
-                invariant: "resync-transition",
-                at: now,
-                detail,
-            });
+    // Device faults: the plan must actually inject, and the degradation
+    // policy must have done what the pattern demands.
+    if offload && !sc.faults.is_empty() {
+        let injected: u64 = sc
+            .faults
+            .iter()
+            .map(|(h, _)| world.device_faults_injected(*h))
+            .sum();
+        if injected == 0 {
+            flag(
+                "chaos-injection",
+                "fault plan injected nothing — the scenario tested a healthy device".to_string(),
+            );
         }
-
-        if offload && sc.expect_reconverge {
-            if let Some((_, last)) = resync.last() {
-                if *last != ResyncPhase::Offloading {
-                    self.violations.push(Violation {
-                        invariant: "resync-reconvergence",
-                        at: now,
-                        detail: format!(
-                            "rx engine's last transition ended in {last:?}, expected Offloading \
-                             (ladder: {})",
-                            render_ladder(resync)
+        match sc.expect_breaker {
+            None => {
+                for f in out.flows.iter().filter(|f| f.breaker.is_some()) {
+                    flag(
+                        "chaos-degradation",
+                        format!(
+                            "conn {}: transient fault opened the breaker ({:?})",
+                            f.conn.0, f.breaker
                         ),
-                    });
+                    );
                 }
-            } else {
-                // No transitions recorded: either the engine never left
-                // Offloading (fine) or the run was untraced — fall back to
-                // the final-state snapshot.
-                match rx_state {
-                    Some(RxStateKind::Offloading) | None => {}
-                    Some(other) => self.violations.push(Violation {
-                        invariant: "resync-reconvergence",
-                        at: now,
-                        detail: format!("rx engine ended in {other:?}, expected Offloading"),
-                    }),
+                if out.flows.iter().all(|f| f.rx_offloaded_pkts == 0) {
+                    flag(
+                        "chaos-degradation",
+                        "no flow (re-)offloaded a packet after the fault".to_string(),
+                    );
+                }
+            }
+            Some(reason) => {
+                for f in &out.flows {
+                    if f.breaker != Some(reason) {
+                        flag(
+                            "chaos-degradation",
+                            format!(
+                                "conn {}: expected breaker open ({reason}), got {:?}",
+                                f.conn.0, f.breaker
+                            ),
+                        );
+                    }
+                    if f.rx_state.is_some() {
+                        flag(
+                            "chaos-degradation",
+                            format!(
+                                "conn {}: rx engine still installed with the breaker open",
+                                f.conn.0
+                            ),
+                        );
+                    }
                 }
             }
         }
     }
+
+    // Network plan: every plan heals what it breaks; partition drops are
+    // accounted as `partitioned` only on darkened pairs; chaos on one
+    // subset never opens breakers on another.
+    if !sc.plan.is_empty() {
+        for &(a, b) in &pairs {
+            if world.link_mode_between(a, b) != LinkMode::Normal {
+                flag("net-plan", format!("link {a}->{b} still dark at run end"));
+            }
+            if world.held_between(a, b) > 0 {
+                flag("net-plan", format!("deliveries still parked on {a}->{b}"));
+            }
+        }
+        for ((a, b), s) in &links {
+            if s.partitioned > 0 && !dark.contains(&(*a, *b)) {
+                flag(
+                    "net-plan",
+                    format!(
+                        "link {a}->{b} was never darkened but counted {} partitioned frames",
+                        s.partitioned
+                    ),
+                );
+            }
+        }
+        let cut = dark_pairs(&sc.plan, true);
+        let swallowed: u64 = links
+            .iter()
+            .filter(|(p, _)| cut.contains(p))
+            .map(|(_, s)| s.partitioned)
+            .sum();
+        if !cut.is_empty() && swallowed == 0 {
+            flag(
+                "net-plan",
+                format!("plan partitioned {cut:?} but nothing was swallowed"),
+            );
+        }
+        for f in out.flows.iter().filter(|f| !touches_dark(f)) {
+            if let Some(reason) = f.breaker {
+                flag(
+                    "net-plan",
+                    format!(
+                        "conn {}: breaker '{reason}' tripped on unpartitioned pair {}<->{}",
+                        f.conn.0, f.client, f.server
+                    ),
+                );
+            }
+        }
+    }
+    v
+}
+
+/// The twin comparator: the offload arm must be invisible next to its
+/// software twin — both arms' own violations, per-flow byte identity,
+/// matching completion, no rx engine (and so no queue crossing) in the
+/// twin, and completion times within `max_divergence`×.
+pub(crate) fn compare_twins(sc: &Scenario, on: &Outcome, off: &Outcome) -> Vec<Violation> {
+    let mut v: Vec<Violation> = off
+        .violations
+        .iter()
+        .map(|x| Violation {
+            detail: format!("software arm: {}", x.detail),
+            ..x.clone()
+        })
+        .collect();
+    let mut flag = |invariant: &'static str, detail: String| {
+        v.push(Violation {
+            invariant,
+            at: on.end,
+            detail,
+        })
+    };
+    if on.flows.len() != off.flows.len() {
+        flag(
+            "differential-stream",
+            format!(
+                "offload ran {} flows, software {}",
+                on.flows.len(),
+                off.flows.len()
+            ),
+        );
+    }
+    for (a, b) in on.flows.iter().zip(&off.flows) {
+        let (s_on, s_off) = (a.delivered.stream(), b.delivered.stream());
+        if s_on != s_off {
+            let at = s_on
+                .iter()
+                .zip(&s_off)
+                .position(|(x, y)| x != y)
+                .unwrap_or_else(|| s_on.len().min(s_off.len()));
+            flag(
+                "differential-stream",
+                format!(
+                    "conn {}: offload delivered {} bytes, software {}; first divergence at offset {at}",
+                    a.conn.0,
+                    s_on.len(),
+                    s_off.len()
+                ),
+            );
+        }
+        if b.rx_state.is_some() || b.rx_offloaded_pkts > 0 {
+            flag(
+                "differential-twin",
+                format!("conn {}: software twin touched an rx engine", b.conn.0),
+            );
+        }
+    }
+    if on.complete() != off.complete() {
+        flag(
+            "differential-stream",
+            format!(
+                "completion mismatch: offload {}, software {}",
+                on.complete(),
+                off.complete()
+            ),
+        );
+    }
+    for h in 0..off.world.num_hosts() {
+        let crossings = off.world.nic_counters(h).queue_crossings;
+        if crossings > 0 {
+            flag(
+                "differential-twin",
+                format!("single-queue host {h} crossed queues {crossings} times"),
+            );
+        }
+    }
+    if let (Some(f_on), Some(f_off)) = (on.finish, off.finish) {
+        let (a, b) = (f_on.as_nanos().max(1), f_off.as_nanos().max(1));
+        let ratio = a.max(b) as f64 / a.min(b) as f64;
+        if ratio > sc.max_divergence {
+            flag(
+                "differential-divergence",
+                format!(
+                    "completion times diverge {ratio:.1}x (offload {f_on:?}, software {f_off:?}), bound {:.1}x",
+                    sc.max_divergence
+                ),
+            );
+        }
+    }
+    v
 }
 
 /// Renders a transition list as `Offloading->Searching->Tracking->…` for

@@ -1,55 +1,43 @@
-//! Adversarial impairment scenarios with differential offload-vs-software
-//! checking.
+//! Adversarial scenarios with differential offload-vs-software checking.
 //!
-//! The paper's contribution lives in the corner cases — out-of-sequence
-//! fallback, the §4.3 resync state machine, retransmit overlap — yet
-//! probabilistic `loss`/`reorder` knobs only sample that space. This crate
-//! drives [`ano_stack::world::World`] through *deterministic, scripted*
-//! adversity ([`ano_sim::link::Script`]) and checks world-level invariants
-//! at every step:
+//! The paper's central claim is that autonomous offloads are invisible to
+//! the application: under loss, device faults or partitions, the offload
+//! must deliver exactly the bytes software would. This crate checks that
+//! one contract with one model:
 //!
-//! * **stream integrity** — every delivered plaintext chunk equals the
-//!   transmitted stream at its offset (TLS), every completed read buffer
-//!   matches the device pattern (NVMe);
-//! * **auth integrity** — corrupted records are never delivered as
-//!   plaintext; they surface as TLS alerts and nothing else;
-//! * **forward progress** — a watchdog fails the run if no byte is
-//!   delivered for a configurable sim-time budget;
-//! * **resync reconvergence** — once impairments end, an offloaded
-//!   receiver returns to the `Offloading` state.
+//! * a [`Scenario`] value — a fleet shape (1×1 for the classic two-host
+//!   cases), a per-flow list of placement and [`Workload`], and the
+//!   adversity: scripted link schedules ([`ano_sim::link::Script`]),
+//!   device faults, a timed network plan, RSS queues, a rebalancer and an
+//!   induced indirection table — plus budgets and expectations;
+//! * one runner, [`run()`]`(&Scenario, Arm)`, stepping the world and
+//!   checking world-level invariants at every step (stream integrity,
+//!   forward progress with declared outages) and at the end (completion,
+//!   auth accounting, legal §4.3 resync edges and reconvergence, and —
+//!   when the scenario has them — the device-fault degradation and
+//!   network-plan contracts);
+//! * one twin comparator, [`run_differential`], holding [`Arm::Offload`]
+//!   to its [`Arm::Software`] twin: byte-identical per-flow streams,
+//!   matching completion, no rx engine in the twin and bounded
+//!   completion-time divergence. Every failure panics through
+//!   [`Outcome::assert_clean`] with the violations and the trailing trace;
+//! * one registry, [`builtin()`]`(name)`, replaying every named scenario:
+//!   `tls/*` and `nvme/*` (the adversity matrix and extras),
+//!   `chaos/<workload>/<fault>` and `netchaos/<workload>/<pattern>`.
 //!
-//! The differential runner ([`runner::run_differential`]) executes each
-//! scenario twice — offload enabled vs software-only — and asserts the two
-//! runs deliver byte-identical streams with bounded completion-time
-//! divergence: the offload must be *autonomous*, invisible at the
-//! application layer under any adversity.
-//!
-//! Scenarios are named; `runner::builtin(name)` replays one by name, and
-//! [`gen::ScriptGen`] generates random drop schedules that shrink (via
+//! [`gen`] generates random drop and window schedules that shrink (via
 //! `ano-testkit`) to a minimal failing schedule.
 
 #![forbid(unsafe_code)]
 
 pub mod apps;
-pub mod chaos;
-pub mod fleet;
+pub mod builtin;
 pub mod gen;
 pub mod invariant;
-pub mod netchaos;
-pub mod rss;
-pub mod runner;
+pub mod run;
 pub mod scenario;
 
-pub use chaos::{chaos_builtin, chaos_matrix, run_chaos, ChaosExpect, ChaosScenario, DeviceChaos};
-pub use fleet::{
-    run_churn, run_fleet, run_fleet_differential, sensitivity_curve, ChurnOutcome, FleetOutcome,
-    FleetScenario, SensitivityPoint,
-};
+pub use builtin::{builtin, builtins};
 pub use invariant::Violation;
-pub use netchaos::{
-    netchaos_builtin, netchaos_matrix, run_netchaos, run_netchaos_differential, ChaosWorkload,
-    NetChaosOutcome, NetChaosScenario,
-};
-pub use rss::{run_rss, run_rss_differential, RssOutcome, RssScenario};
-pub use runner::{run_differential, run_scenario, run_scenario_faulted, DiffOutcome, RunOutcome};
-pub use scenario::{Scenario, Workload};
+pub use run::{check_golden, run, run_differential, Arm, FlowRun, Outcome};
+pub use scenario::{Flow, Scenario, Workload};

@@ -1,38 +1,85 @@
-//! Scenario definitions: a workload, a scripted adversity schedule per link
-//! direction, and the invariant budgets the run is held to.
+//! The scenario model: one value describes a whole experiment — the host
+//! shape, the flows and what each carries, the adversity (link scripts,
+//! device faults, a timed network plan, RSS skew) and the budgets and
+//! expectations the run is held to. The classic two-host cases are a 1×1
+//! fleet.
 
-use ano_sim::link::{Impairments, Script};
+use ano_core::fault::DeviceFaults;
+use ano_core::nic::NicConfig;
+use ano_sim::link::Script;
+use ano_sim::payload::DataMode;
 use ano_sim::time::{SimDuration, SimTime};
+use ano_stack::prelude::{
+    ConnSpec, FleetSpec, HostSpec, NvmeHostSpec, NvmeTargetSpec, TlsSpec, WorldConfig,
+};
+use ano_stack::world::NetPlan;
 
-/// What the two hosts do during the scenario.
+use crate::run::Arm;
+
+/// What one flow carries. The variant also fixes the flow's offload
+/// footprint in the [`Arm::Offload`] arm (the golden traces pin it).
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// Host 0 streams `bytes` of plaintext to host 1 over (k)TLS.
+    /// The client streams `bytes` of plaintext to the server over kTLS,
+    /// tx and rx crypto offloaded on both ends.
     Tls {
         /// Application bytes to send.
         bytes: usize,
     },
-    /// Host 0 issues NVMe/TCP reads against host 1's target.
+    /// As [`Workload::Tls`], but only the server's rx crypto is offloaded:
+    /// the context cache under test is the server's.
+    TlsRx {
+        /// Application bytes to send.
+        bytes: usize,
+    },
+    /// The client issues NVMe/TCP reads against the server's target, with
+    /// the initiator offloads plus target CRC-on-transmit.
     Nvme {
-        /// `(device_offset, len)` per read.
+        /// `(device_offset, len)` per read, relative to the flow's own
+        /// 4 MiB device region.
         reads: Vec<(u64, u32)>,
     },
-    /// NVMe/TCP reads inside TLS (combined NVMe-TLS, §5.3): the nested
-    /// offload stack — TLS record processing wrapping NVMe placement and
-    /// CRC — on both endpoints.
+    /// NVMe/TCP reads inside TLS (combined NVMe-TLS, §5.3): the NVMe
+    /// footprint plus target CRC-on-receive and TLS offload on both ends.
     NvmeTls {
-        /// `(device_offset, len)` per read.
+        /// `(device_offset, len)` per read, as for [`Workload::Nvme`].
         reads: Vec<(u64, u32)>,
     },
 }
 
 impl Workload {
-    /// The expected delivered byte stream: TLS plaintext, or the
-    /// concatenated read buffers in request order.
-    pub fn expected(&self) -> Vec<u8> {
+    /// Whether the payload flows server → client (NVMe read data).
+    pub fn server_sends(&self) -> bool {
+        matches!(self, Workload::Nvme { .. } | Workload::NvmeTls { .. })
+    }
+
+    /// Flow `k`'s NVMe reads: the workload's reads shifted into the flow's
+    /// own 4 MiB device region, so cross-flow placement mixups are
+    /// byte-visible. Empty for TLS.
+    pub(crate) fn reads(&self, k: usize) -> Vec<(u64, u32)> {
         match self {
-            Workload::Tls { bytes } => (0..*bytes).map(tls_pattern_byte).collect(),
             Workload::Nvme { reads } | Workload::NvmeTls { reads } => reads
+                .iter()
+                .map(|&(off, len)| (off + ((k as u64) << 22), len))
+                .collect(),
+            Workload::Tls { .. } | Workload::TlsRx { .. } => Vec::new(),
+        }
+    }
+
+    /// The byte stream flow `k` must deliver under world seed `seed`: TLS
+    /// plaintext in a per-flow pattern no other flow shares, or the read
+    /// buffers in request order. The pattern's period (251, prime, above
+    /// packet-boundary strides) keeps misplaced chunks detectable.
+    pub(crate) fn expected(&self, k: usize, seed: u64) -> Vec<u8> {
+        match self {
+            Workload::Tls { bytes } | Workload::TlsRx { bytes } => {
+                let base = (k as u64).wrapping_mul(7).wrapping_add(seed);
+                (0..*bytes)
+                    .map(|j| ((base + j as u64) % 251) as u8)
+                    .collect()
+            }
+            Workload::Nvme { .. } | Workload::NvmeTls { .. } => self
+                .reads(k)
                 .iter()
                 .flat_map(|&(off, len)| {
                     (0..len as u64).map(move |j| ano_nvme::block::pattern_byte(off + j))
@@ -41,88 +88,213 @@ impl Workload {
         }
     }
 
-    /// True when the payload-bearing direction is host0 → host1 (TLS);
-    /// NVMe read data (C2HData) flows target → initiator, host1 → host0.
-    pub fn data_dir_0to1(&self) -> bool {
-        matches!(self, Workload::Tls { .. })
-    }
-
-    /// The host that receives the payload stream (where the rx offload
-    /// engine, kTLS stats and the watchdog's progress counter live).
-    pub fn data_receiver(&self) -> usize {
-        if self.data_dir_0to1() {
-            1
+    /// Endpoint specs `(client, server)` for one arm.
+    pub(crate) fn specs(&self, arm: Arm) -> (ConnSpec, ConnSpec) {
+        let on = arm == Arm::Offload;
+        let tls = if on {
+            TlsSpec::offloaded()
         } else {
-            0
+            TlsSpec::default()
+        };
+        let host = if on {
+            NvmeHostSpec::offloaded()
+        } else {
+            NvmeHostSpec::default()
+        };
+        let target = NvmeTargetSpec {
+            crc_tx_offload: on,
+            ..NvmeTargetSpec::default()
+        };
+        match self {
+            Workload::Tls { .. } => (ConnSpec::Tls(tls), ConnSpec::Tls(tls)),
+            Workload::TlsRx { .. } => (
+                ConnSpec::Tls(TlsSpec::default()),
+                ConnSpec::Tls(TlsSpec {
+                    rx_offload: on,
+                    ..TlsSpec::default()
+                }),
+            ),
+            Workload::Nvme { .. } => (ConnSpec::NvmeHost(host), ConnSpec::NvmeTarget(target)),
+            Workload::NvmeTls { .. } => (
+                ConnSpec::NvmeTlsHost(host, tls),
+                ConnSpec::NvmeTlsTarget(
+                    NvmeTargetSpec {
+                        crc_rx_offload: on,
+                        ..target
+                    },
+                    tls,
+                ),
+            ),
         }
     }
 }
 
-/// Deterministic plaintext pattern for TLS workloads. The period (251,
-/// prime, > packet-boundary strides) lets stream-integrity checks recover
-/// the offset a chunk claims from its content.
-pub fn tls_pattern_byte(i: usize) -> u8 {
-    (i % 251) as u8
+/// One flow: its placement (client and server *indices* in the shape) and
+/// what it carries.
+#[derive(Clone, Debug)]
+pub struct Flow {
+    /// Client index (world host `client`).
+    pub client: usize,
+    /// Server index (world host `clients + server`).
+    pub server: usize,
+    /// The workload.
+    pub workload: Workload,
 }
 
-/// One adversarial scenario: workload + scripted schedules + budgets.
+/// One scenario: shape, flows, adversity, budgets and expectations.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Scenario name (replay key).
     pub name: String,
-    /// World seed.
-    pub seed: u64,
-    /// The workload.
-    pub workload: Workload,
-    /// Impairments on the payload-bearing direction (script + knobs).
-    pub data_impair: Impairments,
-    /// Impairments on the reverse (ACK) direction.
-    pub ack_impair: Impairments,
+    /// Hosts and NICs (server `rx_queues` is the RSS queue count), link
+    /// rate, seed, degradation and rebalancing policy, and per-pair link
+    /// adversity (`impair`, `scripts`).
+    pub shape: FleetSpec,
+    /// The flows, connected in order.
+    pub flows: Vec<Flow>,
+    /// Connect → stream → verify → disconnect rounds of `flows` over one
+    /// world (1 = one-shot; more is a connection-churn storm).
+    pub waves: usize,
+    /// Device-fault plans by world host, installed before any flow
+    /// connects so install-time rules see the first `InstallRx`.
+    pub faults: Vec<(usize, DeviceFaults)>,
+    /// Timed network chaos (partitions, holds, impairment sweeps).
+    pub plan: NetPlan,
+    /// RSS indirection table installed on every server before any flow
+    /// connects: the imbalance-induction knob.
+    pub induce_table: Option<Vec<u16>>,
     /// Watchdog: fail if no byte is delivered for this long while the
     /// transfer is incomplete.
     pub progress_budget: SimDuration,
-    /// Hard cap on simulated time.
+    /// Hard cap on simulated time per wave.
     pub sim_budget: SimDuration,
-    /// The transfer must complete (false for unrecoverable adversity such
-    /// as payload corruption, where the damaged record is lost for good).
+    /// Declared outage windows `(from, to)` on top of the plan's own: the
+    /// watchdog suspends inside each and re-arms with a fresh budget when
+    /// it closes. Deliberately *not* derived from the scripts — an outage
+    /// is only excusable when the author declared it, so an undeclared
+    /// blackhole (`tls/blackhole`) still trips the watchdog.
+    pub outages: Vec<(SimTime, SimTime)>,
+    /// Every flow must deliver its whole stream (false for unrecoverable
+    /// adversity such as payload corruption).
     pub expect_complete: bool,
-    /// With offload enabled, the rx engine must end in `Offloading` once
-    /// the schedule is exhausted.
+    /// In the offload arm every flow's rx engine must end in `Offloading`,
+    /// reached through legal edges (flows whose breaker opened on a pair
+    /// the plan darkened are excused).
     pub expect_reconverge: bool,
-    /// Differential bound: max allowed completion-time ratio between the
-    /// offload and software runs.
+    /// With device faults: the breaker reason every flow must end with, or
+    /// `None` when the faults are transient — no breaker may open and the
+    /// flows must offload again.
+    pub expect_breaker: Option<&'static str>,
+    /// Twin bound: max completion-time ratio between the arms.
     pub max_divergence: f64,
-    /// Declared network-outage windows `(from, to)`: the forward-progress
-    /// watchdog suspends inside each window and re-arms (with a full fresh
-    /// budget) when it closes. Deliberately *not* derived from the scripts
-    /// — an outage is only excusable when the scenario author declared it,
-    /// so an undeclared blackhole (`tls/blackhole`) still trips the
-    /// watchdog.
-    pub declared_partitions: Vec<(SimTime, SimTime)>,
 }
 
 impl Scenario {
-    /// A clean-run scenario skeleton for `workload`.
+    /// The classic two-host case: one `workload` flow from host 0 to host
+    /// 1 on a 1×1 fleet of 8-core hosts.
     pub fn new(name: &str, workload: Workload) -> Scenario {
+        let host = HostSpec {
+            cores: 8,
+            nic: NicConfig::default(),
+        };
+        Scenario::with_shape(name, 1, 1, host.clone(), host, 0xAD5E_0001).placed(1, workload)
+    }
+
+    /// A fleet of `clients × servers` 4-core hosts (servers with a
+    /// 1024-entry context cache) carrying `flows` copies of `workload`,
+    /// placed round-robin. Reconvergence is not expected: cache pressure
+    /// may leave a finished flow mid-resync.
+    pub fn fleet(
+        name: &str,
+        clients: usize,
+        servers: usize,
+        flows: usize,
+        workload: Workload,
+    ) -> Scenario {
+        let mut sc = Scenario::with_shape(
+            name,
+            clients,
+            servers,
+            HostSpec {
+                cores: 4,
+                nic: NicConfig::default(),
+            },
+            HostSpec {
+                cores: 4,
+                nic: NicConfig {
+                    ctx_cache_capacity: 1024,
+                    ..NicConfig::default()
+                },
+            },
+            7,
+        )
+        .placed(flows, workload);
+        sc.sim_budget = SimDuration::from_millis(50);
+        sc.expect_reconverge = false;
+        sc
+    }
+
+    fn with_shape(
+        name: &str,
+        clients: usize,
+        servers: usize,
+        client: HostSpec,
+        server: HostSpec,
+        seed: u64,
+    ) -> Scenario {
         Scenario {
             name: name.to_string(),
-            seed: 0xAD5E_0001,
-            workload,
-            data_impair: Impairments::none(),
-            ack_impair: Impairments::none(),
+            shape: FleetSpec {
+                clients,
+                servers,
+                client,
+                server,
+                cfg: WorldConfig {
+                    seed,
+                    mode: DataMode::Functional,
+                    ..WorldConfig::default()
+                },
+                impair: Vec::new(),
+                scripts: Vec::new(),
+            },
+            flows: Vec::new(),
+            waves: 1,
+            faults: Vec::new(),
+            plan: NetPlan::new(),
+            induce_table: None,
             progress_budget: SimDuration::from_millis(200),
             sim_budget: SimDuration::from_secs(10),
+            outages: Vec::new(),
             expect_complete: true,
             expect_reconverge: true,
+            expect_breaker: None,
             max_divergence: 8.0,
-            declared_partitions: Vec::new(),
         }
+    }
+
+    /// Replaces the flows with `n` copies of `workload`, flow `k` from
+    /// client `k % clients` to server `k % servers` (builder-style).
+    pub fn placed(mut self, n: usize, workload: Workload) -> Scenario {
+        let (c, s) = (self.shape.clients, self.shape.servers);
+        self.flows = (0..n)
+            .map(|k| Flow {
+                client: k % c,
+                server: k % s,
+                workload: workload.clone(),
+            })
+            .collect();
+        self
+    }
+
+    /// World host index of server `j` (client `i` is world host `i`).
+    pub fn server_host(&self, j: usize) -> usize {
+        self.shape.clients + j
     }
 
     /// Declares a network outage over `[from, to]` (builder-style): the
     /// watchdog tolerates silence inside the window and re-arms on repair.
     pub fn declare_outage(mut self, from: SimTime, to: SimTime) -> Scenario {
-        self.declared_partitions.push((from, to));
+        self.outages.push((from, to));
         self
     }
 
@@ -134,15 +306,23 @@ impl Scenario {
         self
     }
 
-    /// Sets the payload-direction script (builder-style).
-    pub fn data_script(mut self, script: Script) -> Scenario {
-        self.data_impair.script = script;
-        self
+    /// Scripts the payload direction of flow 0's pair (builder-style).
+    pub fn data_script(self, script: Script) -> Scenario {
+        let server_sends = self.flows[0].workload.server_sends();
+        self.script_flow0(!server_sends, script)
     }
 
-    /// Sets the ACK-direction script (builder-style).
-    pub fn ack_script(mut self, script: Script) -> Scenario {
-        self.ack_impair.script = script;
+    /// Scripts the ACK direction of flow 0's pair (builder-style).
+    pub fn ack_script(self, script: Script) -> Scenario {
+        let server_sends = self.flows[0].workload.server_sends();
+        self.script_flow0(server_sends, script)
+    }
+
+    fn script_flow0(mut self, client_to_server: bool, script: Script) -> Scenario {
+        let c = self.flows[0].client as u16;
+        let s = self.server_host(self.flows[0].server) as u16;
+        let pair = if client_to_server { (c, s) } else { (s, c) };
+        self.shape.scripts.push((pair, script));
         self
     }
 
@@ -160,95 +340,4 @@ impl Scenario {
         self.expect_reconverge = false;
         self
     }
-}
-
-/// The standard TLS workload used by the built-in matrix: a few records'
-/// worth of plaintext, enough for loss, resync and reconvergence to play
-/// out without dominating test wall-clock.
-pub fn tls_workload() -> Workload {
-    Workload::Tls { bytes: 96_000 }
-}
-
-/// The standard NVMe workload: several reads spanning distinct device
-/// extents, so completion order and placement are both exercised.
-pub fn nvme_workload() -> Workload {
-    Workload::Nvme {
-        reads: vec![(4096, 24_576), (1 << 20, 32_768), (3 << 20, 16_384)],
-    }
-}
-
-/// The eight built-in adversity schedules, applied to one workload.
-///
-/// All are *recoverable*: TCP retransmission heals every one of them, so
-/// the differential matrix can demand byte-identical delivered streams and
-/// completion in both variants.
-pub fn adversity_schedules(workload: Workload) -> Vec<Scenario> {
-    let w = |name: &str| Scenario::new(name, workload.clone());
-    vec![
-        w("clean"),
-        w("drop-third").data_script(Script::drop_nth(3)),
-        w("early-burst").data_script(Script::drop_burst(4, 8)),
-        w("alternating").data_script(Script::drop_cycle(vec![true, false], 12)),
-        w("delay-spike").data_script(Script::delay_burst(5, 9, SimDuration::from_micros(400))),
-        w("dup-burst").data_script(Script::duplicate_burst(2, 10)),
-        // The window opens at 20µs — before either variant can complete the
-        // transfer — so offload and software runs both straddle it and both
-        // recover on the same RTO timescale once it lifts.
-        w("partition").data_script(Script::partition(
-            SimTime::from_micros(20),
-            SimTime::from_micros(1400),
-        )),
-        w("ack-burst").ack_script(Script::drop_burst(3, 9)),
-    ]
-}
-
-/// The full built-in differential matrix: every adversity schedule × {TLS,
-/// NVMe}. Names are `tls/<schedule>` and `nvme/<schedule>`.
-pub fn matrix() -> Vec<Scenario> {
-    let mut out = Vec::new();
-    for mut s in adversity_schedules(tls_workload()) {
-        s.name = format!("tls/{}", s.name);
-        out.push(s);
-    }
-    for mut s in adversity_schedules(nvme_workload()) {
-        s.name = format!("nvme/{}", s.name);
-        out.push(s);
-    }
-    out
-}
-
-/// Named non-matrix scenarios (unrecoverable adversity, replay targets).
-pub fn extras() -> Vec<Scenario> {
-    vec![
-        // One mid-stream record corrupted in flight: TLS must refuse to
-        // authenticate it; everything else still arrives intact.
-        Scenario::new("tls/corrupt-record", tls_workload())
-            .data_script(Script::corrupt_nth(6))
-            .unrecoverable(),
-        // A partition that never lifts. Deliberately left expecting
-        // completion: this is the known-failing replay target proving the
-        // forward-progress watchdog fires on a wedged transfer.
-        Scenario::new("tls/blackhole", tls_workload())
-            .data_script(Script::partition(SimTime::from_micros(10), SimTime::from_secs(60)))
-            .sim_budget(SimDuration::from_secs(2)),
-        // The same outage shape, longer than the progress budget — but
-        // *declared*. The watchdog must stay quiet through the dark window,
-        // re-arm at repair, and the transfer must still complete and
-        // re-offload afterwards. The post-repair budget is raised above the
-        // ~230ms of RTO backoff a 400ms outage legitimately accumulates.
-        Scenario::new("tls/declared-partition", tls_workload())
-            .data_script(Script::partition(
-                SimTime::from_micros(20),
-                SimTime::from_millis(400),
-            ))
-            .declare_outage(SimTime::from_micros(20), SimTime::from_millis(400))
-            .progress_budget(SimDuration::from_millis(300))
-            .sim_budget(SimDuration::from_secs(2)),
-    ]
-}
-
-/// Finds a built-in scenario (matrix or extra) by name — the replay entry
-/// point: `run_differential(&builtin("tls/partition").unwrap())`.
-pub fn builtin(name: &str) -> Option<Scenario> {
-    matrix().into_iter().chain(extras()).find(|s| s.name == name)
 }

@@ -1,29 +1,15 @@
 //! The device-fault chaos suite: smoke tests covering each expectation
-//! class, and the full `chaos_matrix()` sweep (run by `scripts/ci.sh` as
-//! its own tier; `--include-ignored` locally for the full matrix).
+//! class, and the full `chaos/*` sweep (run by `scripts/ci.sh` as its own
+//! tier; `--ignored` locally for the full matrix).
 
-use ano_scenario::chaos::{chaos_builtin, chaos_matrix, run_chaos, ChaosExpect};
-use ano_scenario::scenario;
+use ano_scenario::builtin::matrix;
+use ano_scenario::{builtin, builtins, run_differential};
 
 /// The adversity matrix must not grow implicitly when chaos scenarios are
 /// added — device faults live in their own matrix.
 #[test]
 fn adversity_matrix_unchanged() {
-    assert_eq!(scenario::matrix().len(), 16, "8 schedules x 2 workloads");
-}
-
-#[test]
-fn chaos_matrix_shape_and_replay() {
-    let m = chaos_matrix();
-    assert_eq!(m.len(), 24, "8 fault patterns x 3 workloads");
-    for cs in &m {
-        assert_eq!(
-            chaos_builtin(&cs.scenario.name).map(|c| c.scenario.name),
-            Some(cs.scenario.name.clone()),
-            "replay-by-name resolves every chaos scenario"
-        );
-    }
-    assert!(chaos_builtin("chaos/tls/no-such-fault").is_none());
+    assert_eq!(matrix().len(), 16, "8 schedules x 2 workloads");
 }
 
 /// Transient smoke: a mid-transfer device reset on each workload class.
@@ -31,12 +17,15 @@ fn chaos_matrix_shape_and_replay() {
 /// bytes.
 #[test]
 fn smoke_reset_reoffloads() {
-    for name in ["chaos/tls/reset", "chaos/nvme/reset", "chaos/nvme-tls/reset"] {
-        let cs = chaos_builtin(name).expect("built-in");
-        assert_eq!(cs.chaos.expect(), ChaosExpect::ReOffloaded);
-        let d = run_chaos(&cs);
-        d.assert_clean();
-        assert!(d.offload.complete, "{name}: completes under reset");
+    for name in [
+        "chaos/tls/reset",
+        "chaos/nvme/reset",
+        "chaos/nvme-tls/reset",
+    ] {
+        let sc = builtin(name).expect("built-in");
+        assert_eq!(sc.expect_breaker, None, "{name}: a reset is transient");
+        let (on, _off) = run_differential(&sc);
+        assert!(on.complete(), "{name}: completes under reset");
     }
 }
 
@@ -44,11 +33,9 @@ fn smoke_reset_reoffloads() {
 /// open and the transfer complete in software.
 #[test]
 fn smoke_install_failure_breaker() {
-    let cs = chaos_builtin("chaos/tls/fail-all-installs").expect("built-in");
-    let d = run_chaos(&cs);
-    d.assert_clean();
-    assert_eq!(d.offload.breaker, Some("install_failures"));
-    assert!(d.offload.complete);
+    let (on, _off) = run_differential(&builtin("chaos/tls/fail-all-installs").expect("built-in"));
+    assert_eq!(on.flows[0].breaker, Some("install_failures"));
+    assert!(on.complete());
 }
 
 /// The full chaos matrix: every device-fault pattern × every offloaded
@@ -56,17 +43,21 @@ fn smoke_install_failure_breaker() {
 /// the smoke tests, so it runs ignored by default; `scripts/ci.sh` runs
 /// it as a dedicated tier with a timeout backstop.
 #[test]
-#[ignore = "full chaos matrix; run via scripts/ci.sh or --include-ignored"]
+#[ignore = "full chaos matrix; run via scripts/ci.sh or --ignored"]
 fn chaos_matrix_holds() {
-    for cs in &chaos_matrix() {
-        let d = run_chaos(cs);
-        d.assert_clean();
-        assert!(d.offload.complete, "{}: completes", cs.scenario.name);
+    let chaos: Vec<_> = builtins()
+        .into_iter()
+        .filter(|s| s.name.starts_with("chaos/"))
+        .collect();
+    assert_eq!(chaos.len(), 24, "8 fault patterns x 3 workloads");
+    for sc in &chaos {
+        let (on, _off) = run_differential(sc);
+        assert!(on.complete(), "{}: completes", sc.name);
         assert_eq!(
-            d.offload.stream(),
-            cs.scenario.workload.expected(),
+            on.flows[0].delivered.stream(),
+            on.flows[0].expected,
             "{}: delivered stream equals transmitted stream",
-            cs.scenario.name
+            sc.name
         );
     }
 }

@@ -1,12 +1,12 @@
-//! Golden-trace regression tests: canonical trace renderings of two
+//! Golden-trace regression tests: canonical trace renderings of
 //! behavior-rich scenarios, committed under `tests/golden/` and diffed
 //! byte-for-byte on every run.
 //!
-//! The canonical form (`ano_trace::export::canonical`, Tcp + Resync
-//! categories) is a pure function of the scenario's seed and schedule, so
-//! any change to loss recovery, retransmit classification, or the §4.3
-//! resync ladder shows up as a trace diff — including the classic mutation
-//! of resuming offload without software confirmation, which rewrites the
+//! The canonical form (`ano_trace::export::canonical`) is a pure function
+//! of the scenario's seed and schedule, so any change to loss recovery,
+//! retransmit classification, device-fault degradation or the §4.3 resync
+//! ladder shows up as a trace diff — including the classic mutation of
+//! resuming offload without software confirmation, which rewrites the
 //! `resync.transition` lines these goldens pin down.
 //!
 //! # Regenerating after an intentional behavior change
@@ -21,107 +21,46 @@
 //! ladder (e.g. `Tracking->Offloading`) means the resync machine broke and
 //! the ordered-transition invariant should have caught it first.
 
-use std::fs;
-use std::path::PathBuf;
-
-use ano_scenario::invariant::check_resync_transitions;
-use ano_scenario::netchaos::{netchaos_builtin, run_netchaos};
-use ano_scenario::scenario::{self, tls_workload};
-use ano_scenario::{chaos_builtin, run_scenario, run_scenario_faulted, Scenario, Workload};
+use ano_scenario::{builtin, check_golden, run, Arm, Outcome, Scenario, Workload};
 use ano_sim::link::Script;
 use ano_trace::event::Category;
 use ano_trace::export;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.golden"))
-}
-
-/// Runs `sc` offloaded, renders the canonical trace, and compares it to the
-/// committed golden (or rewrites the golden under `BLESS=1`).
-fn check_golden(file: &str, sc: &Scenario) {
-    let run = run_scenario(sc, true);
-    run.assert_clean();
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = run.canonical_trace();
-    assert!(!got.is_empty(), "golden scenario produced no Tcp/Resync events");
-
-    let path = golden_path(file);
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test golden_trace` to create it",
-            path.display()
-        )
-    });
-    if got != want {
-        let first = want
-            .lines()
-            .zip(got.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| want.lines().count().min(got.lines().count()));
-        panic!(
-            "golden trace mismatch for '{}' at line {}:\n  golden: {}\n  got:    {}\n\
-             ({} golden lines, {} actual). If the behavior change is intentional, \
-             re-bless with BLESS=1 and review the diff.",
-            sc.name,
-            first + 1,
-            want.lines().nth(first).unwrap_or("<eof>"),
-            got.lines().nth(first).unwrap_or("<eof>"),
-            want.lines().count(),
-            got.lines().count(),
-        );
-    }
-}
-
-/// Chaos variant of [`check_golden`]: runs a device-fault scenario from the
-/// chaos matrix and renders the canonical trace with the `Device` category
-/// included, so the golden pins the degradation choreography (faults,
-/// install retries, breaker trips, resets) alongside the resync ladder.
-fn check_chaos_golden(file: &str, name: &str) {
-    let cs = chaos_builtin(name).expect("built-in chaos scenario");
-    let run = run_scenario_faulted(&cs.scenario, true, Some(&cs.chaos));
-    run.assert_clean();
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&run.trace, &[Category::Tcp, Category::Resync, Category::Device]);
-    assert!(!got.is_empty(), "chaos golden produced no Tcp/Resync/Device events");
-
-    let path = golden_path(file);
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test golden_trace` to create it",
-            path.display()
-        )
-    });
+/// Runs `sc` offloaded and holds it to every invariant; a golden is only
+/// worth pinning when the run behind it is clean and its trace whole.
+fn clean_run(sc: &Scenario) -> Outcome {
+    let out = run(sc, Arm::Offload);
+    out.assert_clean();
     assert_eq!(
-        got, want,
-        "chaos golden trace mismatch for '{name}'. If the behavior change is \
-         intentional, re-bless with BLESS=1 and review the diff."
+        out.trace_dropped, 0,
+        "trace ring wrapped; golden would be truncated"
     );
+    out
+}
+
+/// Device-fault goldens render the `Device` category too, so they pin the
+/// degradation choreography (faults, install retries, breaker trips,
+/// resets) alongside the resync ladder.
+fn check_chaos_golden(file: &str, name: &str) -> String {
+    let out = clean_run(&builtin(name).expect("built-in"));
+    let got = export::canonical(
+        &out.trace,
+        &[Category::Tcp, Category::Resync, Category::Device],
+    );
+    check_golden(&format!("golden/{file}.golden"), &got);
+    got
 }
 
 /// The reset→quiesce→resync→re-offload ladder: a mid-transfer device reset
 /// wipes the rx context; the flow must quiesce to `Searching`, walk the §4.3
-/// confirmation ladder, and resume offload at a record boundary. The golden
-/// pins both the `device.reset` line and the full reconvergence chain.
+/// confirmation ladder, and resume offload at a record boundary.
 #[test]
 fn golden_chaos_reset_ladder() {
-    check_chaos_golden("chaos_tls_reset", "chaos/tls/reset");
-
-    let text = fs::read_to_string(golden_path("chaos_tls_reset")).expect("golden exists");
-    assert!(text.contains("device.reset"), "golden must pin the reset event");
+    let text = check_chaos_golden("chaos_tls_reset", "chaos/tls/reset");
+    assert!(
+        text.contains("device.reset"),
+        "golden must pin the reset event"
+    );
     assert!(
         text.contains("Confirmed->Offloading"),
         "golden must pin the post-reset offload-resume edge"
@@ -130,15 +69,18 @@ fn golden_chaos_reset_ladder() {
 
 /// The breaker-open ladder: every install attempt fails, the retry/backoff
 /// ladder exhausts, and the per-flow circuit breaker opens into permanent
-/// software fallback. The golden pins the fail→retry→…→breaker sequence and
-/// its backoff timestamps.
+/// software fallback.
 #[test]
 fn golden_chaos_breaker_ladder() {
-    check_chaos_golden("chaos_tls_breaker", "chaos/tls/fail-all-installs");
-
-    let text = fs::read_to_string(golden_path("chaos_tls_breaker")).expect("golden exists");
-    assert!(text.contains("device.install-fail"), "golden must pin the install failures");
-    assert!(text.contains("device.install-retry"), "golden must pin the backoff ladder");
+    let text = check_chaos_golden("chaos_tls_breaker", "chaos/tls/fail-all-installs");
+    assert!(
+        text.contains("device.install-fail"),
+        "golden must pin the install failures"
+    );
+    assert!(
+        text.contains("device.install-retry"),
+        "golden must pin the backoff ladder"
+    );
     assert!(
         text.contains("device.breaker-open reason=install_failures"),
         "golden must pin the breaker trip"
@@ -150,18 +92,18 @@ fn golden_chaos_breaker_ladder() {
 /// full-stack TLS scenario. Its golden pins the TCP recovery choreography —
 /// SACK retransmits, RTO backoff, cwnd collapses — that the original
 /// regression fixed.
-fn pr1_alternating() -> Scenario {
+#[test]
+fn golden_pr1_alternating_drop() {
     let mut pattern = vec![false; 64];
     for i in [2usize, 3, 5, 7, 9, 11, 13, 14] {
         pattern[i] = true;
     }
-    Scenario::new("golden/pr1-alternating", Workload::Tls { bytes: 10_137 })
-        .data_script(Script::drop_cycle(pattern, u64::MAX))
-}
-
-#[test]
-fn golden_pr1_alternating_drop() {
-    check_golden("pr1_alternating", &pr1_alternating());
+    let sc = Scenario::new("golden/pr1-alternating", Workload::Tls { bytes: 10_137 })
+        .data_script(Script::drop_cycle(pattern, u64::MAX));
+    check_golden(
+        "golden/pr1_alternating.golden",
+        &clean_run(&sc).canonical_trace(),
+    );
 }
 
 /// A TLS resync episode: the built-in alternating-drop schedule overtakes
@@ -171,12 +113,11 @@ fn golden_pr1_alternating_drop() {
 /// as fallbacks and stays in `Offloading`, which is itself paper behavior.)
 #[test]
 fn golden_tls_alternating_resync() {
-    let sc = scenario::builtin("tls/alternating").expect("built-in");
-    check_golden("tls_alternating", &sc);
+    let text = clean_run(&builtin("tls/alternating").expect("built-in")).canonical_trace();
+    check_golden("golden/tls_alternating.golden", &text);
 
     // The golden meaningfully covers the confirmation path: mutating the
     // resync machine to skip software confirmation must change this file.
-    let text = fs::read_to_string(golden_path("tls_alternating")).expect("golden exists");
     assert!(
         text.contains("Tracking->Confirmed"),
         "golden must pin the software-confirmation edge"
@@ -188,51 +129,29 @@ fn golden_tls_alternating_resync() {
 }
 
 /// The fleet partition ladder: one server rack of a 3×2-host fleet goes
-/// dark mid-transfer and heals. The golden pins the whole choreography in
-/// one file — `link.partition` events per severed direction, the RTO
-/// backoff the dark flows accumulate, `link.repair` at heal, and the
-/// §4.3 re-install ladder (`Searching→Tracking→Confirmed→Offloading`)
-/// repair drives on every surviving flow.
+/// dark mid-transfer and heals. The golden pins `link.partition` events per
+/// severed direction, the RTO backoff the dark flows accumulate,
+/// `link.repair` at heal, and the §4.3 re-install ladder
+/// (`Searching→Tracking→Confirmed→Offloading`) repair drives on every
+/// surviving flow. The clean run already validated every flow's ladder
+/// against the legal edges across the repair.
 #[test]
 fn golden_netchaos_partition_ladder() {
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let on = run_netchaos(&sc, true);
-    assert_eq!(on.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&on.trace, export::GOLDEN_CATEGORIES);
-    assert!(!got.is_empty(), "netchaos golden produced no Tcp/Resync/Net events");
+    let text = clean_run(&builtin("netchaos/tls/server-dark").expect("built-in")).canonical_trace();
+    check_golden("golden/netchaos_server_dark.golden", &text);
 
-    // Legal-edge validation across the repair: every flow's recorded
-    // ladder must chain through §4.3 edges only — the golden diff shows
-    // *what* changed; this shows it stayed legal.
-    for (conn, ladder) in &on.resync {
-        let problems = check_resync_transitions(ladder);
-        assert!(problems.is_empty(), "conn {conn:?}: {problems:?}");
-    }
-
-    let path = golden_path("netchaos_server_dark");
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-    } else {
-        let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-                 --test golden_trace` to create it",
-                path.display()
-            )
-        });
-        assert_eq!(
-            got, want,
-            "netchaos golden trace mismatch for '{}'. If the behavior change is \
-             intentional, re-bless with BLESS=1 and review the diff.",
-            sc.name
-        );
-    }
-
-    let text = fs::read_to_string(golden_path("netchaos_server_dark")).expect("golden exists");
-    assert!(text.contains("link.partition"), "golden must pin the partition events");
-    assert!(text.contains("link.repair"), "golden must pin the repair events");
-    assert!(text.contains("tcp.rto"), "golden must pin the RTO backoff while dark");
+    assert!(
+        text.contains("link.partition"),
+        "golden must pin the partition events"
+    );
+    assert!(
+        text.contains("link.repair"),
+        "golden must pin the repair events"
+    );
+    assert!(
+        text.contains("tcp.rto"),
+        "golden must pin the RTO backoff while dark"
+    );
     assert!(
         text.contains("Offloading->Searching"),
         "golden must pin the partition quiesce edge"
@@ -244,7 +163,7 @@ fn golden_netchaos_partition_ladder() {
 }
 
 /// The determinism contract the goldens stand on: running the same scenario
-/// twice yields byte-identical canonical traces *and* metrics renderings.
+/// twice yields byte-identical canonical traces *and* record streams.
 ///
 /// With `ANO_TRACE_DUMP=1` the canonical trace is printed between
 /// `--TRACE-BEGIN--`/`--TRACE-END--` markers; `scripts/ci.sh` runs this
@@ -253,9 +172,13 @@ fn golden_netchaos_partition_ladder() {
 /// an in-process double run cannot.
 #[test]
 fn identical_seeds_produce_identical_traces() {
-    let sc = scenario::builtin("tls/partition").expect("built-in");
-    let (a, b) = (run_scenario(&sc, true), run_scenario(&sc, true));
-    assert_eq!(a.canonical_trace(), b.canonical_trace(), "canonical trace diverged");
+    let sc = builtin("tls/partition").expect("built-in");
+    let (a, b) = (run(&sc, Arm::Offload), run(&sc, Arm::Offload));
+    assert_eq!(
+        a.canonical_trace(),
+        b.canonical_trace(),
+        "canonical trace diverged"
+    );
     assert!(!a.canonical_trace().is_empty());
     assert_eq!(a.trace.len(), b.trace.len(), "full record streams diverged");
     if std::env::var("ANO_TRACE_DUMP").is_ok() {
@@ -268,20 +191,21 @@ fn identical_seeds_produce_identical_traces() {
 /// inputs).
 #[test]
 fn different_schedules_produce_different_traces() {
-    let clean = run_scenario(&scenario::builtin("tls/clean").expect("built-in"), true);
-    let lossy = run_scenario(&scenario::builtin("tls/alternating").expect("built-in"), true);
+    let clean = run(&builtin("tls/clean").expect("built-in"), Arm::Offload);
+    let lossy = run(&builtin("tls/alternating").expect("built-in"), Arm::Offload);
     assert_ne!(clean.canonical_trace(), lossy.canonical_trace());
 }
 
-/// Offload-run traces carry resync transitions; software-only runs cannot
-/// (no engine is installed) — the trace reflects which variant ran.
+/// Offload-arm traces carry resync transitions; the software twin cannot
+/// (no engine is installed) — the trace reflects which arm ran.
 #[test]
 fn software_runs_trace_no_resync() {
-    let sc = Scenario::new("golden/sw", tls_workload()).data_script(Script::drop_nth(3));
-    let run = run_scenario(&sc, false);
-    run.assert_clean();
+    let sc = Scenario::new("golden/sw", ano_scenario::builtin::tls_workload())
+        .data_script(Script::drop_nth(3));
+    let out = run(&sc, Arm::Software);
+    out.assert_clean();
     assert!(
-        !run.canonical_trace().contains("resync.transition"),
+        !out.canonical_trace().contains("resync.transition"),
         "software-only run has no rx engine to resync"
     );
 }

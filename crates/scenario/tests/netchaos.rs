@@ -4,41 +4,39 @@
 //! streams required, with partition-aware breaker suppression and the
 //! repair-driven §4.3 re-offload ladder checked per flow.
 
-use ano_scenario::netchaos::{
-    dark_pairs, netchaos_builtin, netchaos_matrix, run_netchaos_differential, ChaosWorkload,
-};
-use ano_scenario::{run_differential, scenario};
+use ano_scenario::invariant::dark_pairs;
+use ano_scenario::{builtin, builtins, run_differential, Scenario, Workload};
+use ano_sim::link::LinkMode;
+use ano_stack::prelude::Fleet;
 use ano_stack::world::NetOp;
 
-#[test]
-fn netchaos_scenarios_resolve_by_name() {
-    let m = netchaos_matrix();
-    assert!(
-        m.len() >= 12,
-        "matrix must cover >= 4 patterns x 2 workloads + shape variants, got {}",
-        m.len()
-    );
-    for sc in &m {
-        assert_eq!(
-            netchaos_builtin(&sc.name).map(|s| s.name),
-            Some(sc.name.clone()),
-            "replay-by-name resolves every netchaos scenario"
-        );
-    }
-    assert!(netchaos_builtin("netchaos/tls/no-such-pattern").is_none());
+fn netchaos() -> Vec<Scenario> {
+    builtins()
+        .into_iter()
+        .filter(|s| s.name.starts_with("netchaos/"))
+        .collect()
 }
 
-/// Both workloads appear in the matrix, and every pure partition pattern
-/// declares the pairs it darkens.
+/// Both workloads appear in the matrix, and every pattern without an
+/// impairment sweep darkens some pair.
 #[test]
 fn netchaos_matrix_covers_both_workloads() {
-    let m = netchaos_matrix();
-    assert!(m.iter().any(|s| s.workload == ChaosWorkload::Tls));
-    assert!(m.iter().any(|s| s.workload == ChaosWorkload::Nvme));
+    let m = netchaos();
+    assert!(m
+        .iter()
+        .any(|s| matches!(s.flows[0].workload, Workload::TlsRx { .. })));
+    assert!(m
+        .iter()
+        .any(|s| matches!(s.flows[0].workload, Workload::Nvme { .. })));
     for sc in &m {
-        if sc.expect_lossless {
+        let sweep = sc
+            .plan
+            .steps()
+            .iter()
+            .any(|(_, op)| matches!(op, NetOp::Impair(..)));
+        if !sweep {
             assert!(
-                !dark_pairs(&sc.plan).is_empty(),
+                !dark_pairs(&sc.plan, false).is_empty(),
                 "{}: lossless patterns are partition/hold patterns",
                 sc.name
             );
@@ -51,16 +49,20 @@ fn netchaos_matrix_covers_both_workloads() {
 /// flows must never notice.
 #[test]
 fn smoke_server_dark_reoffloads() {
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let (on, _off) = run_netchaos_differential(&sc);
+    let (on, _off) = run_differential(&builtin("netchaos/tls/server-dark").expect("built-in"));
     // The dark flows actually walked the ladder: at least one resync
     // transition was recorded fleet-wide.
     assert!(
-        on.resync.values().any(|l| !l.is_empty()),
+        on.flows.iter().any(|f| !f.ladder.is_empty()),
         "a partition that hit live flows must force resync"
     );
     // And frames were genuinely swallowed while dark.
-    let swallowed: u64 = on.link_partitioned.values().sum();
+    let swallowed: u64 = (0..3)
+        .map(|c| {
+            on.world.link_stats_between(c, 3).partitioned
+                + on.world.link_stats_between(3, c).partitioned
+        })
+        .sum();
     assert!(swallowed > 0, "dark links swallowed nothing");
 }
 
@@ -68,8 +70,7 @@ fn smoke_server_dark_reoffloads() {
 /// the offloads under chaos live on the client NICs).
 #[test]
 fn smoke_nvme_client_cut() {
-    let sc = netchaos_builtin("netchaos/nvme/client-cut").expect("built-in");
-    run_netchaos_differential(&sc);
+    run_differential(&builtin("netchaos/nvme/client-cut").expect("built-in"));
 }
 
 /// Smoke: asymmetric hold — one direction parks deliveries in order and
@@ -77,8 +78,7 @@ fn smoke_nvme_client_cut() {
 /// beyond the held pair.
 #[test]
 fn smoke_ack_hold() {
-    let sc = netchaos_builtin("netchaos/tls/ack-hold").expect("built-in");
-    run_netchaos_differential(&sc);
+    run_differential(&builtin("netchaos/tls/ack-hold").expect("built-in"));
 }
 
 /// The two-host declared-outage extra: same blackhole shape that trips
@@ -86,13 +86,10 @@ fn smoke_ack_hold() {
 /// still completes and reconverges after repair.
 #[test]
 fn declared_partition_suspends_watchdog() {
-    let sc = scenario::builtin("tls/declared-partition").expect("built-in");
-    let d = run_differential(&sc);
-    d.assert_clean();
-    assert!(d.offload.complete && d.software.complete);
+    let (on, off) = run_differential(&builtin("tls/declared-partition").expect("built-in"));
+    assert!(on.complete() && off.complete());
     assert!(
-        !d.offload
-            .violations
+        !on.violations
             .iter()
             .any(|v| v.invariant == "forward-progress"),
         "declared outage must not trip the watchdog"
@@ -100,61 +97,46 @@ fn declared_partition_suspends_watchdog() {
 }
 
 /// The full matrix: every pattern × workload × shape, differentially.
-/// Heavier than the smokes — run with `--include-ignored` (CI netchaos
-/// tier).
+/// Heavier than the smokes — run with `--ignored` (CI netchaos tier).
 #[test]
 #[ignore = "heavy: full netchaos matrix; CI runs it in the netchaos tier"]
 fn netchaos_matrix_differential() {
-    for sc in netchaos_matrix() {
+    for sc in netchaos() {
         println!("== {}", sc.name);
-        run_netchaos_differential(&sc);
+        run_differential(&sc);
     }
 }
 
 /// Scale: a rack partitioned in the middle of connection churn. Every
-/// wave connects a fresh flow population, gets its server rack cut and
+/// wave connects a fresh 12-flow population, gets its server rack cut and
 /// repaired mid-flight, and must still deliver byte-identical streams in
-/// both arms before teardown — the install ladder, partition quiesce and
-/// repair re-install machinery cycling together.
+/// both arms — the install ladder, partition quiesce and repair
+/// re-install machinery cycling together.
 #[test]
 #[ignore = "heavy: churn under partition; CI runs it in the netchaos tier"]
 fn rack_partition_mid_churn_stays_byte_identical() {
-    use ano_scenario::fleet::FleetScenario;
-    use ano_sim::time::SimDuration;
-
-    let base = FleetScenario {
-        name: "netchaos/churn".into(),
-        clients: 3,
-        servers: 2,
-        flows: 12,
-        bytes_per_flow: 96_000,
-        link_rate_bps: 10_000_000_000,
-        sim_budget: SimDuration::from_millis(200),
-        ..FleetScenario::default()
-    };
+    let dark = builtin("netchaos/tls/server-dark").expect("built-in");
     for round in 0..3u64 {
-        let mut sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
+        let mut sc = dark.clone().placed(12, Workload::TlsRx { bytes: 96_000 });
         sc.name = format!("netchaos/churn/wave{round}");
-        sc.fleet = base.clone();
-        sc.fleet.seed = base.seed.wrapping_add(round);
-        run_netchaos_differential(&sc);
+        sc.shape.cfg.seed += round;
+        run_differential(&sc);
     }
 }
 
 /// Imperative chaos: `apply_net_op` mid-run (no plan) severs and heals a
-/// pair; the partitioned counter moves, the lost counter does not, and
-/// the link ends Normal.
+/// pair; the link mode follows and the rest of the mesh is untouched.
 #[test]
 fn apply_net_op_is_the_imperative_spelling() {
-    use ano_scenario::fleet::build_fleet;
-    use ano_scenario::netchaos::netchaos_builtin;
-    use ano_sim::link::LinkMode;
-
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let mut fleet = build_fleet(&sc.fleet);
-    fleet.world_mut().apply_net_op(NetOp::Partition(vec![0], vec![3]));
+    let sc = builtin("netchaos/tls/server-dark").expect("built-in");
+    let mut fleet = Fleet::build(sc.shape);
+    fleet
+        .world_mut()
+        .apply_net_op(NetOp::Partition(vec![0], vec![3]));
     assert_eq!(fleet.world().link_mode_between(0, 3), LinkMode::Partitioned);
     assert_eq!(fleet.world().link_mode_between(1, 3), LinkMode::Normal);
-    fleet.world_mut().apply_net_op(NetOp::Repair(vec![0], vec![3]));
+    fleet
+        .world_mut()
+        .apply_net_op(NetOp::Repair(vec![0], vec![3]));
     assert_eq!(fleet.world().link_mode_between(0, 3), LinkMode::Normal);
 }

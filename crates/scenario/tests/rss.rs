@@ -2,39 +2,49 @@
 //! induced imbalance and the oRSS rebalancer, and the context-survival vs
 //! cache-thrash split between affinity migration and queue re-steering.
 
-use std::fs;
-use std::path::PathBuf;
-
+use ano_core::nic::NicConfig;
 use ano_core::rss::RssSteering;
-use ano_scenario::rss::{run_rss, run_rss_differential, RssScenario};
+use ano_scenario::{check_golden, run, run_differential, Arm, Outcome, Scenario, Workload};
 use ano_sim::time::SimDuration;
 use ano_stack::prelude::RebalanceConfig;
 use ano_trace::event::Category;
 use ano_trace::export;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.golden"))
-}
-
-/// The steering scenario every test in this tier riffs on: 4 clients,
-/// 16 TLS flows into one 4-core/4-queue server.
-fn base() -> RssScenario {
-    RssScenario::default()
+/// The steering scenario every test in this tier riffs on: 4 two-core
+/// clients, 16 TLS flows into one 4-core server with 4 rx queues over a
+/// 64-bucket indirection table.
+fn base() -> Scenario {
+    let mut sc = Scenario::fleet("rss", 4, 1, 16, Workload::TlsRx { bytes: 32 * 1024 });
+    sc.shape.cfg.seed = 11;
+    sc.shape.client.cores = 2;
+    sc.shape.server.nic.rx_queues = 4;
+    sc.shape.server.nic.rss_buckets = 64;
+    sc
 }
 
 /// The imbalance-induction variant: an all-zeros indirection table pins
-/// every flow to queue 0 (and so core 0), and the fast rebalancer is on.
-fn induced(steer_queues: bool) -> RssScenario {
+/// every flow to queue 0 (and so core 0), and a rebalancer tuned for these
+/// short runs is on — ticking well inside the transfer, low noise floor,
+/// one move per tick.
+fn induced(steer_queues: bool) -> Scenario {
     let mut sc = base();
     sc.name = format!("rss/induced/steer={steer_queues}");
-    sc.induce_table = Some(vec![0; sc.rss_buckets]);
-    sc.rebalance = Some(RebalanceConfig {
+    sc.induce_table = Some(vec![0; 64]);
+    sc.shape.cfg.rebalance = Some(RebalanceConfig {
+        interval: SimDuration::from_micros(20),
+        trigger: 1.5,
+        min_cycles: 5_000,
+        max_moves: 1,
         steer_queues,
-        ..RssScenario::fast_rebalance()
     });
     sc
+}
+
+fn distinct_cores(out: &Outcome) -> usize {
+    let mut cores: Vec<usize> = out.flows.iter().map(|f| f.placement.1).collect();
+    cores.sort_unstable();
+    cores.dedup();
+    cores.len()
 }
 
 /// An iperf-style 4-queue/4-core run is byte-identical, per flow, to its
@@ -42,42 +52,53 @@ fn induced(steer_queues: bool) -> RssScenario {
 /// and actually spreads the population over multiple queues and cores.
 #[test]
 fn multi_queue_run_matches_single_queue_software_twin() {
-    let (on, off) = run_rss_differential(&base());
+    let (on, off) = run_differential(&base());
+    let server = on.world.server(0);
 
-    let live_queues = on.queue_rx_pkts.iter().filter(|&&p| p > 0).count();
+    let queue_pkts = on.world.queue_rx_pkts(server);
+    let live_queues = queue_pkts.iter().filter(|&&p| p > 0).count();
     assert!(
         live_queues > 1,
-        "16 hashed flows must land on more than one queue (got {:?})",
-        on.queue_rx_pkts
+        "16 hashed flows must land on more than one queue (got {queue_pkts:?})"
     );
-    let mut cores: Vec<usize> = on.placements.iter().map(|&(_, _, c)| c).collect();
-    cores.sort_unstable();
-    cores.dedup();
-    assert!(cores.len() > 1, "flows must run on more than one core");
+    assert!(
+        distinct_cores(&on) > 1,
+        "flows must run on more than one core"
+    );
     // Every placement agrees with an independent Toeplitz computation
-    // over the same key seed and table (the NIC default, 0x5253_5321).
-    let steering = RssSteering::new(base().server_queues, base().rss_buckets, 0x5253_5321);
-    for &(_conn, queue, _core) in &on.placements {
-        assert!((queue as usize) < base().server_queues as usize);
+    // over the NIC's key seed and default table.
+    let steering = RssSteering::new(4, 64, NicConfig::default().rss_key_seed);
+    for f in &on.flows {
+        let tuple = on
+            .world
+            .rx_tuple(server, f.conn)
+            .expect("server-side tuple");
+        assert_eq!(
+            f.placement.0,
+            steering.queue_for(&tuple),
+            "conn {:?} steered off-hash",
+            f.conn
+        );
     }
-    assert_eq!(
-        steering.table().len(),
-        base().rss_buckets,
-        "default table covers every bucket"
-    );
     // The single-queue twin keeps everything on queue 0 by construction.
-    assert_eq!(off.queue_rx_pkts.len(), 1);
-    assert!(on.migrations == 0 && off.migrations == 0, "no rebalancer configured");
+    assert_eq!(off.world.queue_rx_pkts(off.world.server(0)).len(), 1);
+    assert!(
+        on.world.migrations(server) == 0 && off.world.migrations(server) == 0,
+        "no rebalancer configured"
+    );
 }
 
 /// With parallelism measured: the multi-queue run's per-core busy-cycle
-/// spread stays far from the everything-on-one-core extreme.
+/// spread (max over mean; 1.0 is even, the core count is everything on
+/// one core) stays far from the everything-on-one-core extreme.
 #[test]
 fn hashed_flows_spread_cpu_load() {
-    let on = run_rss(&base(), true, false);
-    assert!(on.complete);
-    let spread = on.busy_spread();
-    let cores = on.core_cycles.len() as f64;
+    let on = run(&base(), Arm::Offload);
+    on.assert_clean();
+    assert!(on.complete());
+    let cycles = on.world.cpu_snapshot(on.world.server(0));
+    let cores = cycles.len() as f64;
+    let spread = *cycles.iter().max().unwrap() as f64 * cores / cycles.iter().sum::<u64>() as f64;
     assert!(
         spread < cores * 0.75,
         "busy-core spread {spread:.2} too close to single-core ({cores} cores)"
@@ -90,70 +111,70 @@ fn hashed_flows_spread_cpu_load() {
 /// software twin.
 #[test]
 fn induced_imbalance_triggers_rebalancing() {
-    let sc = induced(false);
-    let (on, off) = run_rss_differential(&sc);
-
+    let (on, off) = run_differential(&induced(false));
+    let server = on.world.server(0);
+    let imbalance = on.world.queue_imbalance(server);
     assert!(
-        on.queue_imbalance > 3.0,
-        "all-zeros table must overload queue 0 (imbalance {:.2})",
-        on.queue_imbalance
+        imbalance > 3.0,
+        "all-zeros table must overload queue 0 (imbalance {imbalance:.2})"
     );
     assert!(
-        on.migrations > 0,
-        "hot core must trigger flow migrations (imbalance {:.2})",
-        on.queue_imbalance
+        on.world.migrations(server) > 0,
+        "hot core must trigger flow migrations (imbalance {imbalance:.2})"
     );
-    let mut cores: Vec<usize> = on.placements.iter().map(|&(_, _, c)| c).collect();
-    cores.sort_unstable();
-    cores.dedup();
     assert!(
-        cores.len() > 1,
+        distinct_cores(&on) > 1,
         "rebalancer must spread the population off the hot core"
     );
-    // Twin equality (checked inside run_rss_differential) is the headline;
+    // Twin equality (checked inside run_differential) is the headline;
     // also pin that the static twin saw no rebalancing machinery at all.
-    assert_eq!(off.migrations, 0);
+    assert_eq!(off.world.migrations(server), 0);
 }
 
 /// The paper-physics split the rebalancer trades on: affinity migration
 /// keeps the NIC context alive (same device, same queue — zero crossings,
 /// only cold-start misses), while queue re-steering thrashes it (bucket
-/// remaps cross queues, each crossing evicting an rx context).
+/// remaps cross queues, each crossing evicting an rx context). Both stay
+/// byte-identical to the software twin.
 #[test]
 fn migration_survives_context_while_steering_thrashes_it() {
-    let affinity = run_rss(&induced(false), true, false);
-    let steer = run_rss(&induced(true), true, false);
-
-    assert!(affinity.complete && steer.complete);
-    affinity.assert_streams();
-    steer.assert_streams();
-    assert!(affinity.migrations > 0, "affinity arm must migrate");
-    assert!(steer.migrations > 0, "steering arm must migrate");
+    let (affinity, _) = run_differential(&induced(false));
+    let (steer, _) = run_differential(&induced(true));
+    for out in [&affinity, &steer] {
+        assert!(out.complete());
+        assert!(
+            out.world.migrations(out.world.server(0)) > 0,
+            "{}: must migrate",
+            out.name
+        );
+    }
+    let server = affinity.world.server(0);
+    let (a, s) = (
+        affinity.world.nic_counters(server),
+        steer.world.nic_counters(server),
+    );
 
     // Affinity-only: the context survives every migration. The flow count
     // bounds cold misses: one per installed rx engine, nothing more.
     assert_eq!(
-        affinity.queue_crossings, 0,
+        a.queue_crossings, 0,
         "affinity migration must not cross queues"
     );
     assert!(
-        affinity.cache_misses <= affinity.expected.len() as u64,
+        a.cache_misses <= affinity.flows.len() as u64,
         "affinity arm paid more than cold-start misses: {} > {}",
-        affinity.cache_misses,
-        affinity.expected.len()
+        a.cache_misses,
+        affinity.flows.len()
     );
 
     // Re-steering: every remapped flow crosses queues and pays an evict +
     // refill. Strictly more misses than the affinity arm's cold start.
+    assert!(s.queue_crossings > 0, "steering arm must cross queues");
     assert!(
-        steer.queue_crossings > 0,
-        "steering arm must cross queues"
-    );
-    assert!(
-        steer.cache_misses > affinity.cache_misses,
+        s.cache_misses > a.cache_misses,
         "queue crossings must thrash the context cache ({} vs {})",
-        steer.cache_misses,
-        affinity.cache_misses
+        s.cache_misses,
+        a.cache_misses
     );
 }
 
@@ -170,36 +191,27 @@ fn migration_survives_context_while_steering_thrashes_it() {
 fn golden_rss_migrate_ladder() {
     let mut sc = induced(true);
     sc.name = "rss/golden/migrate".into();
-    let run = run_rss(&sc, true, true);
-    assert!(run.complete, "golden scenario must complete");
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&run.trace, &[Category::Device]);
-    assert!(!got.is_empty(), "golden scenario produced no Device events");
-
-    let path = golden_path("rss_migrate");
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test rss` to create it",
-            path.display()
-        )
-    });
+    let out = run(&sc, Arm::Offload);
+    out.assert_clean();
+    assert!(out.complete(), "golden scenario must complete");
     assert_eq!(
-        got, want,
-        "rss golden trace mismatch. If the behavior change is intentional, \
-         re-bless with BLESS=1 and review the steer→migrate ladder."
+        out.trace_dropped, 0,
+        "trace ring wrapped; golden would be truncated"
     );
+    let got = export::canonical(&out.trace, &[Category::Device]);
+    check_golden("golden/rss_migrate.golden", &got);
 
     // The golden meaningfully pins the ladder, not just any device noise.
-    assert!(want.contains("nic.queue"), "golden must pin the initial steering");
-    assert!(want.contains("core.migrate"), "golden must pin the migrations");
     assert!(
-        want.contains("device.ctx-evict"),
+        got.contains("nic.queue"),
+        "golden must pin the initial steering"
+    );
+    assert!(
+        got.contains("core.migrate"),
+        "golden must pin the migrations"
+    );
+    assert!(
+        got.contains("device.ctx-evict"),
         "golden must pin the crossing-evict cost"
     );
 }
@@ -211,23 +223,21 @@ fn golden_rss_migrate_ladder() {
 #[ignore = "scale run: slow; exercised by the ci.sh rss tier"]
 fn rss_scale_16_queues_512_flows() {
     let mut sc = base();
+    sc.shape.clients = 8;
+    let mut sc = sc.placed(512, Workload::TlsRx { bytes: 2 * 1024 });
     sc.name = "rss/scale".into();
-    sc.clients = 8;
-    sc.flows = 512;
-    sc.bytes_per_flow = 2 * 1024;
-    sc.server_cores = 8;
-    sc.server_queues = 16;
-    sc.rss_buckets = 256;
-    sc.server_cache = 4096;
+    sc.shape.server.cores = 8;
+    sc.shape.server.nic.rx_queues = 16;
+    sc.shape.server.nic.rss_buckets = 256;
+    sc.shape.server.nic.ctx_cache_capacity = 4096;
     sc.sim_budget = SimDuration::from_millis(400);
-    let (on, _off) = run_rss_differential(&sc);
+    let (on, _off) = run_differential(&sc);
 
-    let total: u64 = on.queue_rx_pkts.iter().sum();
-    let fair = total as f64 / on.queue_rx_pkts.len() as f64;
-    let max = on.queue_rx_pkts.iter().copied().max().unwrap_or(0) as f64;
+    let pkts = on.world.queue_rx_pkts(on.world.server(0));
+    let fair = pkts.iter().sum::<u64>() as f64 / pkts.len() as f64;
+    let max = *pkts.iter().max().unwrap() as f64;
     assert!(
         max <= 2.0 * fair,
-        "queue packet load {max} exceeds 2x fair share {fair:.0} ({:?})",
-        on.queue_rx_pkts
+        "queue packet load {max} exceeds 2x fair share {fair:.0} ({pkts:?})"
     );
 }

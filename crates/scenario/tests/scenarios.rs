@@ -2,28 +2,30 @@
 //! matrix, the corruption/auth and watchdog extras, and property tests over
 //! randomly generated drop schedules.
 
+use std::collections::BTreeMap;
+
+use ano_core::rx::RxStateKind;
+use ano_scenario::builtin::{matrix, tls_workload};
 use ano_scenario::gen::{drop_indices_of, script_gen, window_script_gen, windows_of};
-use ano_scenario::scenario::{self, tls_workload};
-use ano_scenario::{run_differential, run_scenario, Scenario, Workload};
+use ano_scenario::{builtin, builtins, run, run_differential, Arm, Scenario, Workload};
 use ano_sim::link::Script;
 use ano_sim::time::SimTime;
 use ano_testkit::Gen;
 
 /// The core acceptance test: every built-in scenario (8 adversity schedules
 /// × {TLS, NVMe}) runs offloaded and software-only, delivers byte-identical
-/// streams, completes in both variants within bounded divergence, and
-/// violates no world invariant along the way.
+/// streams, completes in both arms within bounded divergence, and violates
+/// no world invariant along the way.
 #[test]
 fn differential_matrix_is_invisible() {
-    let matrix = scenario::matrix();
+    let matrix = matrix();
     assert_eq!(matrix.len(), 16, "8 schedules x 2 workloads");
     for sc in &matrix {
-        let d = run_differential(sc);
-        d.assert_clean();
-        assert!(d.offload.complete, "{}: offload run completes", sc.name);
+        let (on, _off) = run_differential(sc);
+        assert!(on.complete(), "{}: offload run completes", sc.name);
         assert_eq!(
-            d.offload.stream(),
-            sc.workload.expected(),
+            on.flows[0].delivered.stream(),
+            on.flows[0].expected,
             "{}: delivered stream equals transmitted stream",
             sc.name
         );
@@ -34,16 +36,15 @@ fn differential_matrix_is_invisible() {
 /// harness itself must not perturb the data path.
 #[test]
 fn clean_scenario_stays_offloaded() {
-    let sc = scenario::builtin("tls/clean").expect("built-in");
-    let run = run_scenario(&sc, true);
-    run.assert_clean();
-    assert!(run.complete);
+    let out = run(&builtin("tls/clean").expect("built-in"), Arm::Offload);
+    out.assert_clean();
+    assert!(out.complete());
     assert_eq!(
-        run.rx_state,
-        Some(ano_core::rx::RxStateKind::Offloading),
+        out.flows[0].rx_state,
+        Some(RxStateKind::Offloading),
         "no impairment: engine never leaves Offloading"
     );
-    assert_eq!(run.alerts, 0);
+    assert_eq!(out.flows[0].alerts, 0);
 }
 
 /// A record corrupted in flight must surface as an authentication failure
@@ -52,16 +53,16 @@ fn clean_scenario_stays_offloaded() {
 /// bytes (checked by the stream-integrity invariant).
 #[test]
 fn corrupted_record_rejected_never_delivered() {
-    let sc = scenario::builtin("tls/corrupt-record").expect("built-in");
-    for offload in [true, false] {
-        let run = run_scenario(&sc, offload);
-        run.assert_clean();
-        assert!(run.link_corrupted >= 1, "the link corrupted a frame");
-        assert!(run.alerts >= 1, "TLS refused to authenticate it");
-        let expected = sc.workload.expected();
-        let delivered: u64 = run.delivered.bytes();
+    let sc = builtin("tls/corrupt-record").expect("built-in");
+    for arm in [Arm::Offload, Arm::Software] {
+        let out = run(&sc, arm);
+        out.assert_clean();
+        let corrupted = out.world.link_stats_between(0, 1).corrupted;
+        assert!(corrupted >= 1, "the link corrupted a frame");
+        let f = &out.flows[0];
+        assert!(f.alerts >= 1, "TLS refused to authenticate it");
         assert!(
-            delivered < expected.len() as u64,
+            f.delivered.bytes < f.expected.len() as u64,
             "the damaged record's plaintext is missing, not replaced"
         );
     }
@@ -71,28 +72,51 @@ fn corrupted_record_rejected_never_delivered() {
 /// forward-progress watchdog and the completion check must both fire.
 #[test]
 fn blackhole_trips_forward_progress_watchdog() {
-    let sc = scenario::builtin("tls/blackhole").expect("built-in");
-    let run = run_scenario(&sc, true);
-    assert!(!run.complete);
+    let out = run(&builtin("tls/blackhole").expect("built-in"), Arm::Offload);
+    assert!(!out.complete());
     assert!(
-        run.violations.iter().any(|v| v.invariant == "forward-progress"),
+        out.violations.iter().any(|v| v.invariant == "forward-progress"),
         "watchdog fired: {:?}",
-        run.violations
+        out.violations
     );
     assert!(
-        run.violations.iter().any(|v| v.invariant == "completion"),
+        out.violations.iter().any(|v| v.invariant == "completion"),
         "completion check fired"
     );
 }
 
 /// Replay-by-name is the debugging entry point documented in
-/// EXPERIMENTS.md; names must resolve across the whole built-in set.
+/// EXPERIMENTS.md: every registered name is unique and resolves to its
+/// scenario, unknown names do not, and each family keeps its size.
 #[test]
 fn builtin_scenarios_resolve_by_name() {
-    assert!(scenario::builtin("nvme/partition").is_some());
-    assert!(scenario::builtin("tls/ack-burst").is_some());
-    assert!(scenario::builtin("tls/corrupt-record").is_some());
-    assert!(scenario::builtin("no/such-scenario").is_none());
+    let all = builtins();
+    let mut per_prefix: BTreeMap<&str, usize> = BTreeMap::new();
+    for sc in &all {
+        assert_eq!(
+            builtin(&sc.name).map(|s| s.name),
+            Some(sc.name.clone()),
+            "{} resolves",
+            sc.name
+        );
+        let prefix = sc.name.split('/').next().unwrap();
+        *per_prefix.entry(prefix).or_default() += 1;
+    }
+    let mut names: Vec<_> = all.iter().map(|s| &s.name).collect();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), all.len(), "names are unique");
+    // 8 schedules × 2 workloads + 3 extras; 8 faults × 3 workloads;
+    // 6 patterns × 2 workloads + 2 shape variants.
+    let want = [("chaos", 24), ("netchaos", 14), ("nvme", 8), ("tls", 11)];
+    assert_eq!(per_prefix.into_iter().collect::<Vec<_>>(), want);
+    for unknown in [
+        "no/such-scenario",
+        "chaos/tls/no-such-fault",
+        "netchaos/tls/no-such-pattern",
+    ] {
+        assert!(builtin(unknown).is_none(), "{unknown} must not resolve");
+    }
 }
 
 /// Any small random drop schedule is recoverable: the offloaded receiver
@@ -107,7 +131,7 @@ fn random_drop_schedules_always_deliver() {
         |(script,)| {
             let sc = Scenario::new("prop/drops", Workload::Tls { bytes: 24_000 })
                 .data_script(script.clone());
-            run_scenario(&sc, true).assert_clean();
+            run(&sc, Arm::Offload).assert_clean();
         },
     );
 }
@@ -195,15 +219,14 @@ fn drop_cycle_script_matches_bool_schedule() {
     }
 }
 
-/// A fully scripted TLS scenario equals the same run with scripts expressed
-/// through `Workload`-agnostic builders — guards the builder surface used
-/// by EXPERIMENTS.md examples.
+/// The builder surface used by EXPERIMENTS.md examples: data and ACK
+/// scripts land on the two directions of flow 0's pair.
 #[test]
 fn scenario_builders_compose() {
     let sc = Scenario::new("compose", tls_workload())
         .data_script(Script::drop_nth(2))
         .ack_script(Script::drop_nth(5));
-    assert!(!sc.data_impair.script.is_empty());
-    assert!(!sc.ack_impair.script.is_empty());
+    let pairs: Vec<_> = sc.shape.scripts.iter().map(|(p, _)| *p).collect();
+    assert_eq!(pairs, [(0, 1), (1, 0)], "TLS data runs client -> server");
     assert!(sc.expect_complete && sc.expect_reconverge);
 }

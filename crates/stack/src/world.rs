@@ -1892,12 +1892,6 @@ impl World {
         self.hosts[host].conns.get(&conn).map(|c| c.tcp.tx_stats())
     }
 
-    /// Façade link statistics (`true`: host0 → host1).
-    pub fn link_stats(&self, dir0to1: bool) -> ano_sim::link::LinkStats {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.link_stats_between(src, dst)
-    }
-
     /// Statistics of the `src → dst` link.
     ///
     /// # Panics

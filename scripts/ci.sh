@@ -73,14 +73,22 @@ echo "ok: allocation inventory matches baseline"
 echo "== tier-1: offline release build (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo build --release
 
+# Every ano-scenario test runs exactly once: the workspace tier runs
+# everything but ano-scenario, the scenario tier runs ano-scenario's
+# default tests, and each heavy tier below runs only the #[ignore]d
+# scenario tests it exists for.
 echo "== tier-1: offline tests (warnings are errors) =="
-CARGO_NET_OFFLINE=true cargo test -q --workspace
+CARGO_NET_OFFLINE=true cargo test -q --workspace --exclude ano-scenario
 
-echo "== adversarial scenario matrix: differential offload-vs-software =="
-# 8 scripted adversity schedules x {TLS, NVMe} x {offload, software}, fixed
-# seeds (no wall-clock or RNG input), plus the regression port and the
-# watchdog/corruption extras. Bounded: the whole suite runs in seconds; the
-# timeout is a hard backstop against a wedged scheduler looping forever.
+echo "== adversarial scenarios: differential offload-vs-software, goldens =="
+# Every scenario family through the one runner and twin comparator: the
+# 8 scripted adversity schedules x {TLS, NVMe}, the watchdog/corruption
+# extras, the chaos/fleet/netchaos/rss smokes, the golden traces and the
+# fleet sensitivity curve, at fixed seeds (no wall-clock or RNG input).
+# Regenerate goldens or expected data intentionally with BLESS=1 (see
+# crates/scenario/tests/golden_trace.rs) and review the diff. Bounded: the
+# suite runs in seconds; the timeout is a hard backstop against a wedged
+# scheduler looping forever.
 CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-scenario
 
 echo "== device-fault chaos matrix: degradation under install/mailbox/reset faults =="
@@ -88,48 +96,39 @@ echo "== device-fault chaos matrix: degradation under install/mailbox/reset faul
 # vs software-without, asserting byte-identical streams plus the expected
 # degradation (re-offload after transient faults, breaker-open with the right
 # reason after persistent ones). The full matrix is #[ignore]d in the default
-# test run (it takes ~90s); this tier is its home. The timeout is a hard
+# test run; this tier is its home and runs only it. The timeout is a hard
 # backstop: a fault that wedges the install ladder or the resync machine must
 # fail CI, not hang it.
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test chaos -- --include-ignored
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test chaos -- --ignored
 
-echo "== fleet: N×M topology, context-cache sensitivity, churn storm =="
-# Fleet-scale tier (see DESIGN.md "Fleet topology"): many hosts and flows
-# through one server NIC's bounded context cache. Runs the §6.5 sensitivity
-# curve against its committed expected data, the cache-thrash breaker pair,
-# the churn-storm install ladder, the fleet golden trace, and the
-# #[ignore]d thousands-of-flows run (~90s) that only this tier executes.
-# The timeout is a hard backstop against a wedged scheduler, not a budget.
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test fleet -- --include-ignored
+echo "== fleet: thousands of flows over bounded context caches =="
+# Fleet-scale tier (see DESIGN.md "Fleet topology"): the #[ignore]d 8x2-host,
+# 2048-flow run through 256-entry server caches that only this tier
+# executes (the sensitivity curve, breaker pair, churn storm and fleet
+# golden run in the scenario tier). The timeout is a hard backstop against
+# a wedged scheduler, not a budget.
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test fleet -- --ignored
 
 echo "== netchaos: fleet partition/repair plans, holds, impairment sweeps =="
-# Network-chaos tier (see DESIGN.md "Network chaos and partitions"):
-# scheduled partition/repair plans over fleet subsets × {TLS, NVMe} ×
-# fleet shapes, each vs a fault-free software twin (byte-identical
-# streams, partitioned/lost split, breaker suppression on unaffected
-# pairs, §4.3 re-offload after every repair), plus the #[ignore]d full
-# matrix and the rack-partition-mid-churn scale run that only this tier
+# Network-chaos tier (see DESIGN.md "Network chaos and partitions"): the
+# #[ignore]d full matrix — scheduled partition/repair plans over fleet
+# subsets x {TLS, NVMe} x fleet shapes, each vs a software twin under the
+# same plan (byte-identical streams, partitioned/lost split, breaker
+# suppression on unaffected pairs, §4.3 re-offload after every repair) —
+# and the rack-partition-mid-churn scale run, which only this tier
 # executes. The timeout is a hard backstop against a scheduler wedged by
 # a partition that never heals, not a budget.
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test netchaos -- --include-ignored
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test netchaos -- --ignored
 
 echo "== rss: multi-queue steering, per-core stacks, flow rebalancing =="
 # Multi-queue RSS tier (see DESIGN.md "Multi-queue and RSS"): Toeplitz
 # hash properties (determinism, distribution, exact indirection remaps)
-# with shrinking, the multi-queue-vs-single-queue differential, induced
-# imbalance driving the oRSS rebalancer, the context-survival vs
-# cache-thrash split, the steer→migrate golden ladder, and the #[ignore]d
-# 16-queue/512-flow scale run that only this tier executes. The timeout is
-# a hard backstop against a wedged scheduler, not a budget.
+# with shrinking, and the #[ignore]d 16-queue/512-flow scale run that only
+# this tier executes (the differential, imbalance and golden scenarios run
+# in the scenario tier). The timeout is a hard backstop against a wedged
+# scheduler, not a budget.
 CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-core --test rss_prop
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --include-ignored
-
-echo "== golden traces: canonical event logs vs committed .golden files =="
-# Behavioral regression net on top of the differential matrix: the exact
-# TCP-recovery + resync event sequence of known scenarios must match the
-# committed golden files byte for byte. Regenerate intentionally with
-# BLESS=1 (see crates/scenario/tests/golden_trace.rs) and review the diff.
-CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-scenario --test golden_trace
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --ignored
 
 echo "== trace determinism: same seed, same bytes, across processes =="
 # The golden workflow only works if traces are process-independent. Run the
@@ -148,13 +147,5 @@ if [ "$h1" != "$h2" ]; then
     exit 1
 fi
 echo "ok: identical trace hash across two processes ($h1)"
-
-echo "== bench: simulator speed vs committed baseline =="
-# The perf trajectory every PR defends: wall ns per simulated packet on the
-# default iperf TLS-offload-zc path, checked against BENCH_baseline.json.
-# Offline and bounded (fixed simulated windows, self-calibrating kernel
-# batches, hard timeout inside the wrapper); fails on a >15% ns/packet
-# regression. Intentional changes: BLESS=1 scripts/bench.sh, commit the diff.
-sh scripts/bench.sh
 
 echo "tier-1 green (offline)"
