@@ -1,11 +1,18 @@
 //! AES block cipher (FIPS 197), encryption direction.
 //!
 //! GCM only ever uses the forward cipher, so the decryption round functions
-//! are deliberately not implemented. The implementation is a straightforward
-//! table-free S-box design: clarity over raw speed (the cycle-cost model, not
-//! this code, stands in for AES-NI in experiments).
+//! are deliberately not implemented. Rounds use the 32-bit T-table form:
+//! the state is four big-endian column words, and each of four 256-entry
+//! tables folds SubBytes and MixColumns for one row into a single lookup,
+//! so a round is 16 lookups and 16 XORs (ShiftRows is the choice of which
+//! column feeds which table). The tables are built at compile time from the
+//! S-box. An expanded key is a fixed `[u32; 60]`, so an [`Aes`] is plain
+//! data and cloning it is a stack copy.
+//!
+//! The lookups are indexed by secret state bytes, so this is not
+//! constant-time; no table-driven software AES is.
 
-// ano-lint: allow-file(transitive-panic): AES kernel: every index is a compile-time constant into fixed-width state and round-key arrays
+// ano-lint: allow-file(transitive-panic): AES kernel: table indices are `u8 as usize` into 256-entry tables, round-key indices stay inside the fixed 60-word schedule
 /// AES key sizes supported by this module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AesKeySize {
@@ -36,10 +43,33 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(b: u8) -> u8 {
+/// Multiplication by `x` in GF(2^8).
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
+
+/// Round table for state row `row`: entry `x` is the MixColumns image of
+/// `S[x]` sitting in that row, i.e. the column `(2·S[x], S[x], S[x],
+/// 3·S[x])` rotated down by `row` bytes.
+const fn round_table(row: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let column = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        table[i] = column.rotate_right(8 * row);
+        i += 1;
+    }
+    table
+}
+
+static TE0: [u32; 256] = round_table(0);
+static TE1: [u32; 256] = round_table(1);
+static TE2: [u32; 256] = round_table(2);
+static TE3: [u32; 256] = round_table(3);
+
+/// Words in the longest key schedule (AES-256: 4 × (14 + 1)).
+const SCHEDULE_WORDS: usize = 60;
 
 /// An expanded AES key, ready to encrypt blocks.
 ///
@@ -54,19 +84,19 @@ fn xtime(b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
-    size: AesKeySize,
+    round_keys: [u32; SCHEDULE_WORDS],
+    rounds: usize,
 }
 
 impl Aes {
     /// Expands a 128-bit key.
     pub fn new_128(key: &[u8; 16]) -> Aes {
-        Aes::expand(key, AesKeySize::Aes128)
+        Aes::expand(key)
     }
 
     /// Expands a 256-bit key.
     pub fn new_256(key: &[u8; 32]) -> Aes {
-        Aes::expand(key, AesKeySize::Aes256)
+        Aes::expand(key)
     }
 
     /// Expands a key of either supported size.
@@ -76,22 +106,149 @@ impl Aes {
     /// Panics if `key.len()` is not 16 or 32.
     pub fn new(key: &[u8]) -> Aes {
         match key.len() {
-            16 => Aes::expand(key, AesKeySize::Aes128),
-            32 => Aes::expand(key, AesKeySize::Aes256),
+            16 | 32 => Aes::expand(key),
             n => panic!("unsupported AES key length {n}"),
         }
     }
 
     /// The configured key size.
     pub fn key_size(&self) -> AesKeySize {
-        self.size
+        if self.rounds == 14 {
+            AesKeySize::Aes256
+        } else {
+            AesKeySize::Aes128
+        }
     }
 
-    fn expand(key: &[u8], size: AesKeySize) -> Aes {
+    /// FIPS 197 §5.2 key expansion over 32-bit words; `key` is 16 or 32
+    /// bytes.
+    fn expand(key: &[u8]) -> Aes {
         let nk = key.len() / 4; // words in key: 4 or 8
-        let nr = nk + 6; // rounds: 10 or 14
-        let total_words = 4 * (nr + 1);
+        let rounds = nk + 6; // 10 or 14
+        let mut w = [0u32; SCHEDULE_WORDS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        for i in nk..4 * (rounds + 1) {
+            let mut temp = w[i - 1];
+            if i % nk == 0 {
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / nk]) << 24);
+            } else if nk > 6 && i % nk == 4 {
+                temp = sub_word(temp);
+            }
+            w[i] = w[i - nk] ^ temp;
+        }
+        Aes { round_keys: w, rounds }
+    }
 
+    /// Encrypts one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        self.encrypt_blocks(std::array::from_mut(block));
+    }
+
+    /// Encrypts `N` independent blocks in place. The blocks go through each
+    /// round together, so their table lookups overlap in the pipeline (CTR
+    /// mode encrypts four counters at a time).
+    pub(crate) fn encrypt_blocks<const N: usize>(&self, blocks: &mut [[u8; 16]; N]) {
+        let rk = &self.round_keys;
+        let mut states = blocks.map(|b| {
+            [0, 1, 2, 3].map(|c| {
+                u32::from_be_bytes([b[4 * c], b[4 * c + 1], b[4 * c + 2], b[4 * c + 3]]) ^ rk[c]
+            })
+        });
+        for k in rk[4..4 * self.rounds].chunks_exact(4) {
+            for s in &mut states {
+                let [s0, s1, s2, s3] = *s;
+                *s = [
+                    round_column(s0, s1, s2, s3) ^ k[0],
+                    round_column(s1, s2, s3, s0) ^ k[1],
+                    round_column(s2, s3, s0, s1) ^ k[2],
+                    round_column(s3, s0, s1, s2) ^ k[3],
+                ];
+            }
+        }
+        let k = &rk[4 * self.rounds..4 * self.rounds + 4];
+        for (block, [s0, s1, s2, s3]) in blocks.iter_mut().zip(states) {
+            let out = [
+                last_column(s0, s1, s2, s3) ^ k[0],
+                last_column(s1, s2, s3, s0) ^ k[1],
+                last_column(s2, s3, s0, s1) ^ k[2],
+                last_column(s3, s0, s1, s2) ^ k[3],
+            ];
+            for (bytes, w) in block.chunks_exact_mut(4).zip(out) {
+                bytes.copy_from_slice(&w.to_be_bytes());
+            }
+        }
+    }
+
+    /// Encrypts one block, returning the result (convenience for GCM).
+    pub fn encrypt_block_copy(&self, block: &[u8; 16]) -> [u8; 16] {
+        let mut out = *block;
+        self.encrypt_block(&mut out);
+        out
+    }
+}
+
+impl std::fmt::Debug for Aes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("Aes").field("size", &self.key_size()).finish()
+    }
+}
+
+/// One output column of a full round (before its round key): row `r`
+/// comes from input column `c + r` (ShiftRows), through table `r`.
+#[inline(always)]
+fn round_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    TE0[(a >> 24) as usize]
+        ^ TE1[(b >> 16) as u8 as usize]
+        ^ TE2[(c >> 8) as u8 as usize]
+        ^ TE3[d as u8 as usize]
+}
+
+/// One output column of the last round: SubBytes and ShiftRows only.
+#[inline(always)]
+fn last_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(a >> 24) as usize],
+        SBOX[(b >> 16) as u8 as usize],
+        SBOX[(c >> 8) as u8 as usize],
+        SBOX[d as u8 as usize],
+    ])
+}
+
+/// SubWord: the S-box applied to each byte of a key-schedule word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// The byte-wise FIPS 197 cipher (its own key schedule, then SubBytes,
+/// ShiftRows and MixColumns on a column-major byte state): the independent
+/// oracle the T-table rounds are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{xtime, RCON, SBOX};
+
+    /// Encrypts `block` in place under a 16- or 32-byte `key`.
+    pub(super) fn encrypt_block(key: &[u8], block: &mut [u8; 16]) {
+        let round_keys = expand(key);
+        let nr = round_keys.len() - 1;
+        add_round_key(block, &round_keys[0]);
+        for rk in &round_keys[1..nr] {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            add_round_key(block, rk);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        add_round_key(block, &round_keys[nr]);
+    }
+
+    fn expand(key: &[u8]) -> Vec<[u8; 16]> {
+        let nk = key.len() / 4;
+        let nr = nk + 6;
+        let total_words = 4 * (nr + 1);
         let mut w = vec![[0u8; 4]; total_words];
         for (i, word) in w.iter_mut().take(nk).enumerate() {
             word.copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -113,8 +270,7 @@ impl Aes {
                 w[i][j] = w[i - nk][j] ^ temp[j];
             }
         }
-
-        let round_keys = (0..=nr)
+        (0..=nr)
             .map(|r| {
                 let mut rk = [0u8; 16];
                 for c in 0..4 {
@@ -122,72 +278,38 @@ impl Aes {
                 }
                 rk
             })
-            .collect();
-        Aes { round_keys, size }
+            .collect()
     }
 
-    /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
     }
 
-    /// Encrypts one block, returning the result (convenience for GCM).
-    pub fn encrypt_block_copy(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
     }
-}
 
-impl std::fmt::Debug for Aes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        f.debug_struct("Aes").field("size", &self.size).finish()
+    /// Byte `r + 4c` is row `r`, column `c`.
+    fn shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+            }
+        }
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State layout is column-major: byte `r + 4c` is row `r`, column `c`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
+    fn mix_columns(state: &mut [u8; 16]) {
         for c in 0..4 {
-            state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[4 * c + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            for r in 0..4 {
+                state[4 * c + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+            }
         }
     }
 }
@@ -196,6 +318,49 @@ fn mix_columns(state: &mut [u8; 16]) {
 mod tests {
     use super::*;
     use crate::hex::from_hex;
+    use ano_testkit::gen::vec_u8;
+
+    fn assert_matches_reference(key: &[u8], block: &[u8]) {
+        let block: [u8; 16] = block.try_into().expect("16-byte block");
+        let mut fast = block;
+        Aes::new(key).encrypt_block(&mut fast);
+        let mut slow = block;
+        reference::encrypt_block(key, &mut slow);
+        assert_eq!(fast, slow, "key {key:02x?} block {block:02x?}");
+    }
+
+    ano_testkit::prop_test! {
+        cases = 256;
+        fn aes128_matches_bytewise_reference(key in vec_u8(16..17), block in vec_u8(16..17)) {
+            assert_matches_reference(&key, &block);
+        }
+    }
+
+    ano_testkit::prop_test! {
+        cases = 256;
+        fn aes256_matches_bytewise_reference(key in vec_u8(32..33), block in vec_u8(16..17)) {
+            assert_matches_reference(&key, &block);
+        }
+    }
+
+    #[test]
+    fn reference_passes_fips197_vectors() {
+        let mut block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+        reference::encrypt_block(&from_hex("000102030405060708090a0b0c0d0e0f"), &mut block);
+        assert_eq!(block.to_vec(), from_hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+        let mut block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+        reference::encrypt_block(
+            &from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"),
+            &mut block,
+        );
+        assert_eq!(block.to_vec(), from_hex("8ea2b7ca516745bfeafc49904b496089"));
+    }
+
+    #[test]
+    fn expanded_key_owns_no_heap() {
+        // No drop glue means no owned allocation: cloning is a stack copy.
+        assert!(!std::mem::needs_drop::<Aes>());
+    }
 
     #[test]
     fn fips197_aes128_vector() {

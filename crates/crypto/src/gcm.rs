@@ -91,13 +91,18 @@ impl GcmStream {
         self.data_len
     }
 
-    fn keystream_block(&self, block_index: u64) -> [u8; 16] {
-        // Data blocks use counters starting at J0+1 (J0 itself masks the tag).
+    /// The counter block for keystream block `block_index`. Data blocks use
+    /// counters from J0+1 on (J0 itself masks the tag).
+    fn counter_block(&self, block_index: u64) -> [u8; 16] {
         let mut cb = self.j0;
         let ctr = u32::from_be_bytes(cb[12..16].try_into().expect("4 bytes"));
         let ctr = ctr.wrapping_add(1).wrapping_add(block_index as u32);
         cb[12..16].copy_from_slice(&ctr.to_be_bytes());
-        self.aes.encrypt_block_copy(&cb)
+        cb
+    }
+
+    fn keystream_block(&self, block_index: u64) -> [u8; 16] {
+        self.aes.encrypt_block_copy(&self.counter_block(block_index))
     }
 
     /// Transforms `data` in place, continuing from the current position.
@@ -111,23 +116,38 @@ impl GcmStream {
         if self.dir == Direction::Decrypt {
             self.ghash.update(data);
         }
-        let mut pos = self.data_len;
-        let mut off = 0usize;
-        while off < data.len() {
-            let block_index = pos / 16;
-            let in_block = (pos % 16) as usize;
-            let take = (16 - in_block).min(data.len() - off);
-            let ks = self.keystream_block(block_index);
-            for i in 0..take {
-                data[off + i] ^= ks[in_block + i];
-            }
-            pos += take as u64;
-            off += take;
-        }
+        self.apply_keystream(data);
         if self.dir == Direction::Encrypt {
             self.ghash.update(data);
         }
-        self.data_len = pos;
+        self.data_len += data.len() as u64;
+    }
+
+    /// XORs the CTR keystream into `data` from the current position: the
+    /// rest of a started block byte-wise, then whole blocks four counters at
+    /// a time, then a final partial block.
+    fn apply_keystream(&self, data: &mut [u8]) {
+        let skip = (self.data_len % 16) as usize;
+        let head_len = if skip == 0 { 0 } else { (16 - skip).min(data.len()) };
+        let (head, body) = data.split_at_mut(head_len);
+        let mut block = self.data_len / 16;
+        if !head.is_empty() {
+            xor_into(head, &self.keystream_block(block)[skip..]);
+            block += 1;
+        }
+        let mut quads = body.chunks_exact_mut(64);
+        for quad in &mut quads {
+            let mut keystream = [0, 1, 2, 3].map(|i| self.counter_block(block + i));
+            self.aes.encrypt_blocks(&mut keystream);
+            for (chunk, ks) in quad.chunks_exact_mut(16).zip(&keystream) {
+                xor_into(chunk, ks);
+            }
+            block += 4;
+        }
+        for chunk in quads.into_remainder().chunks_mut(16) {
+            xor_into(chunk, &self.keystream_block(block));
+            block += 1;
+        }
     }
 
     /// Computes the tag over everything processed so far (non-destructive,
@@ -196,6 +216,13 @@ impl GcmStream {
     }
 }
 
+/// `dst ^= ks`, over `dst.len()` bytes.
+fn xor_into(dst: &mut [u8], ks: &[u8]) {
+    for (d, k) in dst.iter_mut().zip(ks) {
+        *d ^= k;
+    }
+}
+
 impl std::fmt::Debug for GcmStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GcmStream")
@@ -236,9 +263,106 @@ pub fn open(
 mod tests {
     use super::*;
     use crate::hex::{from_hex, to_hex};
+    use ano_testkit::gen::{any_bool, sorted_u64_set, vec_bool, vec_u8};
 
     fn k128(hex: &str) -> Aes {
         Aes::new_128(&from_hex(hex).try_into().unwrap())
+    }
+
+    #[test]
+    fn nist_case_13_aes256_empty() {
+        let aes = Aes::new_256(&[0u8; 32]);
+        let tag = seal(&aes, &[0u8; 12], &[], &mut []);
+        assert_eq!(to_hex(&tag), "530f8afbc74536b9a963b4f1c4cb738b");
+    }
+
+    #[test]
+    fn nist_case_14_aes256_one_block() {
+        let aes = Aes::new_256(&[0u8; 32]);
+        let mut data = [0u8; 16];
+        let tag = seal(&aes, &[0u8; 12], &[], &mut data);
+        assert_eq!(to_hex(&data), "cea7403d4d606b6e074ec5d3baf39d18");
+        assert_eq!(to_hex(&tag), "d0d1c8a799996bf0265b98b5d48ab919");
+        open(&aes, &[0u8; 12], &[], &mut data, &tag).expect("auth ok");
+        assert_eq!(data, [0u8; 16]);
+    }
+
+    /// Runs `input` through a stream cut at `cuts` (clamped to the input),
+    /// exporting and resuming the state at cut `i` when `resume[i]` is set.
+    fn run_pieces(
+        aes: &Aes,
+        iv: &[u8; IV_LEN],
+        aad: &[u8],
+        dir: Direction,
+        input: &[u8],
+        cuts: &[u64],
+        resume: &[bool],
+    ) -> (Vec<u8>, GcmStream) {
+        let mut data = input.to_vec();
+        let mut s = GcmStream::new(aes.clone(), iv, aad, dir);
+        let mut from = 0;
+        for (i, &cut) in cuts.iter().enumerate() {
+            let to = (cut as usize).clamp(from, data.len());
+            s.process(&mut data[from..to]);
+            from = to;
+            if resume.get(i).copied().unwrap_or(false) {
+                let saved = s.export();
+                s = GcmStream::resume(aes.clone(), iv, &saved);
+            }
+        }
+        s.process(&mut data[from..]);
+        (data, s)
+    }
+
+    /// Both directions of a cut-up, resumed stream against one-shot
+    /// `seal`/`open`.
+    fn assert_pieces_match_oneshot(
+        aes: &Aes,
+        aad: &[u8],
+        msg: &[u8],
+        cuts: &[u64],
+        resume: &[bool],
+    ) {
+        let iv = [0x5Cu8; IV_LEN];
+        let mut ct = msg.to_vec();
+        let tag = seal(aes, &iv, aad, &mut ct);
+
+        let (enc, s) = run_pieces(aes, &iv, aad, Direction::Encrypt, msg, cuts, resume);
+        assert_eq!(enc, ct, "ciphertext, cuts {cuts:?}");
+        assert_eq!(s.tag(), tag, "seal tag, cuts {cuts:?}");
+
+        let (dec, s) = run_pieces(aes, &iv, aad, Direction::Decrypt, &ct, cuts, resume);
+        assert_eq!(dec, msg, "plaintext, cuts {cuts:?}");
+        s.verify(&tag).expect("stream verifies the one-shot tag");
+        let mut opened = ct.clone();
+        open(aes, &iv, aad, &mut opened, &tag).expect("one-shot open");
+        assert_eq!(opened, msg);
+    }
+
+    ano_testkit::prop_test! {
+        cases = 128;
+        fn stream_pieces_match_oneshot(
+            key_aad in (vec_u8(32..33), vec_u8(0..40)),
+            msg in vec_u8(0..520),
+            cuts in sorted_u64_set(0..520, 8),
+            resume_wide in (vec_bool(8), any_bool())
+        ) {
+            let (key, aad) = key_aad;
+            let (resume, wide_key) = resume_wide;
+            let aes = Aes::new(if wide_key { &key[..] } else { &key[..16] });
+            assert_pieces_match_oneshot(&aes, &aad, &msg, &cuts, &resume);
+        }
+    }
+
+    #[test]
+    fn resume_on_and_off_quad_boundaries() {
+        // Mid-block, block-aligned, and on / one off the 64-byte runs the
+        // keystream and GHASH take four blocks at a time.
+        let aes = k128("feffe9928665731c6d6a8f9467308308");
+        let msg: Vec<u8> = (0..400u32).map(|i| (i * 31 + 7) as u8).collect();
+        let cuts = [1, 15, 16, 17, 63, 64, 65, 127, 128, 192, 200, 256, 320, 399];
+        assert_pieces_match_oneshot(&aes, b"aad", &msg, &cuts, &[true; 14]);
+        assert_pieces_match_oneshot(&aes, &[], &msg, &cuts, &[false; 14]);
     }
 
     #[test]
@@ -340,10 +464,12 @@ mod tests {
         let expect_tag = seal(&aes, &iv, &[], &mut oneshot);
 
         let mut data = msg.clone();
-        let mut s1 = GcmStream::new(aes.clone(), &iv, &[], Direction::Encrypt);
-        s1.process(&mut data[..77]);
-        let saved = s1.export();
-        drop(s1); // the NIC context is all that survives
+        // The first stream ends here; the NIC context is all that survives.
+        let saved = {
+            let mut s1 = GcmStream::new(aes.clone(), &iv, &[], Direction::Encrypt);
+            s1.process(&mut data[..77]);
+            s1.export()
+        };
 
         let mut s2 = GcmStream::resume(aes.clone(), &iv, &saved);
         assert_eq!(s2.position(), 77);

@@ -5,28 +5,79 @@
 //! which is what makes GCM "incrementally computable over any byte range of a
 //! message given only constant-size state" — the §3.2 precondition for
 //! autonomous offloading.
+//!
+//! Field multiplication is a table-free carry-less multiply built on integer
+//! multiplies. `clmul64` splits each 64-bit operand into five interleaved
+//! bit masks, so that the carries of each integer product stay in the
+//! four-bit holes between the bits it keeps. Three such 64×64 products give
+//! the 128×128 product (Karatsuba), and `reduce` folds it back modulo the
+//! GCM polynomial. Whole 64-byte runs are hashed four blocks per reduction,
+//! as `(Y ⊕ X1)·H⁴ ⊕ X2·H³ ⊕ X3·H² ⊕ X4·H`: the four products are
+//! independent, so they overlap instead of forming one serial chain. The
+//! per-key precompute is those four powers of H, 64 bytes.
 
 // ano-lint: allow-file(transitive-panic): GHASH kernel: 16-byte block arithmetic; indices are constants and chunks_exact guarantees block width
+/// Bits at positions ≡ 0 (mod 5) of a `u64`: 0, 5, …, 60.
+const LANE64: u64 = 0x1084_2108_4210_8421;
+/// Bits at positions ≡ 0 (mod 5) of a `u128`: 0, 5, …, 125.
+const LANE128: u128 = LANE64 as u128 | (LANE64 as u128) << 65;
+
+/// Carry-less product of two 64-bit polynomials (bit `i` is the coefficient
+/// of `x^i`).
+///
+/// Operand lane `k` keeps the bits at positions ≡ k (mod 5), at most 13 of
+/// them, so an integer product of two lanes sums at most 13 terms at each
+/// output position. Such a sum fits in four bits, so its carries never reach
+/// the next position of the lane five bits up, and the product's bits in
+/// lane `i + j` are exact parities.
+fn clmul64(x: u64, y: u64) -> u128 {
+    let xs = [0, 1, 2, 3, 4].map(|k| u128::from(x & (LANE64 << k)));
+    let ys = [0, 1, 2, 3, 4].map(|k| u128::from(y & (LANE64 << k)));
+    let mut z = 0;
+    for k in 0..5 {
+        let mut lane = 0;
+        for i in 0..5 {
+            lane ^= xs[i] * ys[(k + 5 - i) % 5];
+        }
+        z |= lane & (LANE128 << k);
+    }
+    z
+}
+
+/// Carry-less 128×128 product as `(high, low)` halves (Karatsuba over
+/// [`clmul64`]).
+fn clmul128(a: u128, b: u128) -> (u128, u128) {
+    let (a1, a0) = ((a >> 64) as u64, a as u64);
+    let (b1, b0) = ((b >> 64) as u64, b as u64);
+    let lo = clmul64(a0, b0);
+    let hi = clmul64(a1, b1);
+    let mid = clmul64(a0 ^ a1, b0 ^ b1) ^ lo ^ hi;
+    (hi ^ (mid >> 64), lo ^ (mid << 64))
+}
+
+/// Reduces a carry-less product of two GCM-ordered elements modulo
+/// `x^128 + x^7 + x^2 + x + 1`.
+///
+/// GCM stores the coefficient of `x^0` in the most significant bit, so the
+/// integer product of two elements is the field product reflected across
+/// 255 bits. One left shift aligns it: `hi` then holds `x^0..x^127` and `lo`
+/// holds `x^128..x^255`, both in GCM order, where multiplying by `x^k` is a
+/// right shift by `k`. Since `x^128 = x^7 + x^2 + x + 1`, `lo` folds into
+/// `hi` as `lo·(x^7 + x^2 + x + 1)`. That fold pushes at most seven bits
+/// past `x^127` (`spill`); they fold once more and then fit.
+fn reduce((hi, lo): (u128, u128)) -> u128 {
+    let (hi, lo) = ((hi << 1) | (lo >> 127), lo << 1);
+    let fold = |v: u128| v ^ (v >> 1) ^ (v >> 2) ^ (v >> 7);
+    let spill = (lo << 127) ^ (lo << 126) ^ (lo << 121);
+    hi ^ fold(lo) ^ fold(spill)
+}
+
 /// Multiplies two elements of GF(2^128) in the GCM bit order.
 ///
 /// Bit 0 of the polynomial is the most-significant bit of the first byte, and
-/// the field is reduced by `x^128 + x^7 + x^2 + x + 1` (the `0xE1` constant
-/// below is that polynomial's low bits reflected into GCM's ordering).
+/// the field is reduced by `x^128 + x^7 + x^2 + x + 1`.
 pub fn gf_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xE1u128 << 120;
-    let mut z = 0u128;
-    let mut v = x;
-    for i in 0..128 {
-        if (y >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
-    }
-    z
+    reduce(clmul128(x, y))
 }
 
 /// Converts a 16-byte block to the u128 big-endian polynomial representation.
@@ -57,17 +108,25 @@ pub fn u128_to_block(v: u128) -> [u8; 16] {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ghash {
-    h: u128,
+    /// `[H, H², H³, H⁴]`: static per key, derived from H.
+    powers: [u128; 4],
     acc: u128,
     pending: [u8; 16],
     pending_len: usize,
+}
+
+/// `[H, H², H³, H⁴]`.
+fn powers_of(h: u128) -> [u128; 4] {
+    let h2 = gf_mul(h, h);
+    let h3 = gf_mul(h2, h);
+    [h, h2, h3, gf_mul(h3, h)]
 }
 
 impl Ghash {
     /// Creates a GHASH instance keyed by `h` (the encrypted all-zero block).
     pub fn new(h: u128) -> Ghash {
         Ghash {
-            h,
+            powers: powers_of(h),
             acc: 0,
             pending: [0; 16],
             pending_len: 0,
@@ -90,7 +149,11 @@ impl Ghash {
                 return;
             }
         }
-        let mut chunks = data.chunks_exact(16);
+        let mut quads = data.chunks_exact(64);
+        for q in &mut quads {
+            self.absorb_quad(q.try_into().expect("exact chunk"));
+        }
+        let mut chunks = quads.remainder().chunks_exact(16);
         for c in &mut chunks {
             let block: &[u8; 16] = c.try_into().expect("exact chunk");
             self.absorb_block(block);
@@ -114,7 +177,23 @@ impl Ghash {
     }
 
     fn absorb_block(&mut self, block: &[u8; 16]) {
-        self.acc = gf_mul(self.acc ^ block_to_u128(block), self.h);
+        self.acc = gf_mul(self.acc ^ block_to_u128(block), self.powers[0]);
+    }
+
+    /// Four blocks, one reduction: the products are summed unreduced
+    /// (reduction is linear) and folded once.
+    fn absorb_quad(&mut self, quad: &[u8; 64]) {
+        let block = |i: usize| {
+            u128::from_be_bytes(quad[16 * i..16 * i + 16].try_into().expect("16 bytes"))
+        };
+        let [h1, h2, h3, h4] = self.powers;
+        let (mut hi, mut lo) = clmul128(self.acc ^ block(0), h4);
+        for (i, h) in [(1, h3), (2, h2), (3, h1)] {
+            let (ph, pl) = clmul128(block(i), h);
+            hi ^= ph;
+            lo ^= pl;
+        }
+        self.acc = reduce((hi, lo));
     }
 
     /// Pads, then returns the accumulator.
@@ -136,7 +215,7 @@ impl Ghash {
     /// Rebuilds a GHASH mid-stream from an exported state.
     pub fn resume(h: u128, st: &GhashState) -> Ghash {
         Ghash {
-            h,
+            powers: powers_of(h),
             acc: st.acc,
             pending: st.pending,
             pending_len: st.pending_len as usize,
@@ -159,6 +238,75 @@ pub struct GhashState {
 mod tests {
     use super::*;
     use crate::hex::from_hex;
+    use ano_testkit::gen::{usize_in, vec_u8};
+
+    /// The 128-step shift-and-add multiply straight from SP 800-38D
+    /// (Algorithm 1): the oracle for the carry-less kernel.
+    fn bitserial_gf_mul(x: u128, y: u128) -> u128 {
+        const R: u128 = 0xE1u128 << 120;
+        let mut z = 0u128;
+        let mut v = x;
+        for i in 0..128 {
+            if (y >> (127 - i)) & 1 == 1 {
+                z ^= v;
+            }
+            let lsb = v & 1;
+            v >>= 1;
+            if lsb == 1 {
+                v ^= R;
+            }
+        }
+        z
+    }
+
+    /// GHASH one block at a time with the oracle multiply.
+    fn bitserial_ghash(h: u128, data: &[u8]) -> u128 {
+        data.chunks(16).fold(0, |acc, c| {
+            let mut block = [0u8; 16];
+            block[..c.len()].copy_from_slice(c);
+            bitserial_gf_mul(acc ^ block_to_u128(&block), h)
+        })
+    }
+
+    fn u128_of(bytes: &[u8]) -> u128 {
+        u128::from_be_bytes(bytes.try_into().expect("16 bytes"))
+    }
+
+    ano_testkit::prop_test! {
+        cases = 512;
+        fn gf_mul_matches_bitserial(x in vec_u8(16..17), y in vec_u8(16..17)) {
+            let (x, y) = (u128_of(&x), u128_of(&y));
+            assert_eq!(gf_mul(x, y), bitserial_gf_mul(x, y), "{x:#034x} * {y:#034x}");
+        }
+    }
+
+    #[test]
+    fn gf_mul_matches_bitserial_on_edge_values() {
+        let one = 1u128 << 127;
+        let edges = [0, one, u128::MAX, 1, one | 1, u128::MAX >> 1, u128::MAX << 1, 0xE1 << 120];
+        for x in edges {
+            for y in edges {
+                assert_eq!(gf_mul(x, y), bitserial_gf_mul(x, y), "{x:#034x} * {y:#034x}");
+            }
+        }
+    }
+
+    ano_testkit::prop_test! {
+        cases = 128;
+        fn split_ghash_matches_bitserial(
+            h in vec_u8(16..17),
+            data in vec_u8(0..300),
+            cut in usize_in(0..300)
+        ) {
+            let h = u128_of(&h);
+            let cut = cut.min(data.len());
+            let mut g = Ghash::new(h);
+            g.update(&data[..cut]);
+            let mut g = Ghash::resume(h, &g.export());
+            g.update(&data[cut..]);
+            assert_eq!(g.finalize(), bitserial_ghash(h, &data));
+        }
+    }
 
     #[test]
     fn gf_mul_identity_and_zero() {

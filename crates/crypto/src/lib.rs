@@ -14,6 +14,13 @@
 //!
 //! These run for real in functional-mode simulations and tests; the
 //! experiments' cycle accounting separately models AES-NI-class speeds.
+//! They are portable safe Rust without CPU intrinsics: AES uses 32-bit
+//! lookup tables and GHASH a carry-less multiply built from integer
+//! multiplies.
+//!
+//! The table-lookup AES indexes memory by secret state bytes, so it is not
+//! constant-time. That is fine for a simulator and rules the crate out for
+//! protecting real secrets.
 //!
 //! # Examples
 //!

@@ -130,6 +130,15 @@ echo "== rss: multi-queue steering, per-core stacks, flow rebalancing =="
 CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-core --test rss_prop
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --ignored
 
+echo "== simbench =="
+# The benchmark's correctness gate (see simbench/README.md): each workload
+# runs once and must keep the shape it is built for, TLS streams and fio
+# buffers stay byte-identical under real AES-GCM and CRC32C on the lossy
+# workload, and a traced run equals an untraced one. simbench is its own
+# workspace with its own target directory. The timeout is a hard backstop
+# against a wedged run, not a budget.
+CARGO_NET_OFFLINE=true timeout 900 cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 echo "== trace determinism: same seed, same bytes, across processes =="
 # The golden workflow only works if traces are process-independent. Run the
 # determinism test in two separate processes and compare output hashes —
