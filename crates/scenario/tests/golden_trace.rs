@@ -67,6 +67,24 @@ fn golden_chaos_reset_ladder() {
     );
 }
 
+/// The same reset ladder on the NVMe-TCP and combined NVMe-TLS stacks: the
+/// capsule path (NVMe alone, or nested under TLS with its plaintext-offset
+/// resync layer) must quiesce and re-earn offload exactly as TLS does.
+#[test]
+fn golden_chaos_nvme_reset_ladders() {
+    for (file, name) in [
+        ("chaos_nvme_reset", "chaos/nvme/reset"),
+        ("chaos_nvme_tls_reset", "chaos/nvme-tls/reset"),
+    ] {
+        let text = check_chaos_golden(file, name);
+        assert!(text.contains("device.reset"), "{name}: golden must pin the reset event");
+        assert!(
+            text.contains("Confirmed->Offloading"),
+            "{name}: golden must pin the post-reset offload-resume edge"
+        );
+    }
+}
+
 /// The breaker-open ladder: every install attempt fails, the retry/backoff
 /// ladder exhausts, and the per-flow circuit breaker opens into permanent
 /// software fallback.
