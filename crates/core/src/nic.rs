@@ -443,11 +443,6 @@ impl Nic {
         self.rx_bucket.get(&flow).copied()
     }
 
-    /// The current RSS indirection table (bucket → queue).
-    pub fn rss_table(&self) -> &[u16] {
-        self.steering.table()
-    }
-
     /// Reprograms one indirection bucket. The flows hashing into that
     /// bucket cross queues on their *next* packet (hardware applies the
     /// table at steering time, not retroactively); every crossing evicts

@@ -82,7 +82,7 @@ const SCHEDULE_WORDS: usize = 60;
 /// aes.encrypt_block(&mut block);
 /// assert_ne!(block, [0u8; 16]);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct Aes {
     round_keys: [u32; SCHEDULE_WORDS],
     rounds: usize,

@@ -154,8 +154,7 @@ impl GcmStream {
     /// so software fallbacks can authenticate partially offloaded messages
     /// after reprocessing).
     pub fn tag(&self) -> [u8; TAG_LEN] {
-        // ano-lint: allow(hot-alloc): Ghash clone is a fixed-array stack copy, no heap
-        let mut g = self.ghash.clone();
+        let mut g = self.ghash;
         g.pad_block();
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&(self.aad_len * 8).to_be_bytes());
@@ -234,8 +233,7 @@ impl std::fmt::Debug for GcmStream {
 
 /// One-shot encryption in place; returns the tag.
 pub fn seal(aes: &Aes, iv: &[u8; IV_LEN], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-    // ano-lint: allow(hot-alloc): Aes clone is a fixed-array stack copy, no heap
-    let mut s = GcmStream::new(aes.clone(), iv, aad, Direction::Encrypt);
+    let mut s = GcmStream::new(*aes, iv, aad, Direction::Encrypt);
     s.process(data);
     s.tag()
 }
@@ -253,8 +251,7 @@ pub fn open(
     data: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AuthError> {
-    // ano-lint: allow(hot-alloc): Aes clone is a fixed-array stack copy, no heap
-    let mut s = GcmStream::new(aes.clone(), iv, aad, Direction::Decrypt);
+    let mut s = GcmStream::new(*aes, iv, aad, Direction::Decrypt);
     s.process(data);
     s.verify(tag)
 }
@@ -299,7 +296,7 @@ mod tests {
         resume: &[bool],
     ) -> (Vec<u8>, GcmStream) {
         let mut data = input.to_vec();
-        let mut s = GcmStream::new(aes.clone(), iv, aad, dir);
+        let mut s = GcmStream::new(*aes, iv, aad, dir);
         let mut from = 0;
         for (i, &cut) in cuts.iter().enumerate() {
             let to = (cut as usize).clamp(from, data.len());
@@ -307,7 +304,7 @@ mod tests {
             from = to;
             if resume.get(i).copied().unwrap_or(false) {
                 let saved = s.export();
-                s = GcmStream::resume(aes.clone(), iv, &saved);
+                s = GcmStream::resume(*aes, iv, &saved);
             }
         }
         s.process(&mut data[from..]);
@@ -447,7 +444,7 @@ mod tests {
 
         for split in [1usize, 5, 15, 16, 17, 32, 64, 100, 122] {
             let mut data = msg.clone();
-            let mut s = GcmStream::new(aes.clone(), &iv, b"A", Direction::Encrypt);
+            let mut s = GcmStream::new(aes, &iv, b"A", Direction::Encrypt);
             s.process(&mut data[..split]);
             s.process(&mut data[split..]);
             assert_eq!(data, oneshot, "split {split}");
@@ -466,12 +463,12 @@ mod tests {
         let mut data = msg.clone();
         // The first stream ends here; the NIC context is all that survives.
         let saved = {
-            let mut s1 = GcmStream::new(aes.clone(), &iv, &[], Direction::Encrypt);
+            let mut s1 = GcmStream::new(aes, &iv, &[], Direction::Encrypt);
             s1.process(&mut data[..77]);
             s1.export()
         };
 
-        let mut s2 = GcmStream::resume(aes.clone(), &iv, &saved);
+        let mut s2 = GcmStream::resume(aes, &iv, &saved);
         assert_eq!(s2.position(), 77);
         s2.process(&mut data[77..]);
         assert_eq!(data, oneshot);
@@ -486,7 +483,7 @@ mod tests {
         let mut ct = msg.clone();
         let tag = seal(&aes, &iv, b"aad!", &mut ct);
 
-        let mut d = GcmStream::new(aes.clone(), &iv, b"aad!", Direction::Decrypt);
+        let mut d = GcmStream::new(aes, &iv, b"aad!", Direction::Decrypt);
         // Decrypt in uneven packet-like chunks.
         let mut off = 0;
         for sz in [3usize, 160, 291, 546] {

@@ -104,9 +104,9 @@ pub fn u128_to_block(v: u128) -> [u8; 16] {
 /// let mut b = Ghash::new(h);
 /// b.update(b"hello world, ");
 /// b.update(b"this is ghash input");
-/// assert_eq!(a.clone().finalize(), b.clone().finalize());
+/// assert_eq!(a.finalize(), b.finalize());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ghash {
     /// `[H, H², H³, H⁴]`: static per key, derived from H.
     powers: [u128; 4],
@@ -352,7 +352,7 @@ mod tests {
             let mut two = Ghash::new(h);
             two.update(&data[..split]);
             two.update(&data[split..]);
-            assert_eq!(one.clone().finalize(), two.finalize(), "split {split}");
+            assert_eq!(one.finalize(), two.finalize(), "split {split}");
         }
     }
 
@@ -376,7 +376,7 @@ mod tests {
         let h = 0x1u128 << 127;
         let mut g = Ghash::new(h);
         g.update(&[0xAAu8; 32]);
-        let before = g.clone().finalize();
+        let before = g.finalize();
         g.pad_block();
         assert_eq!(g.finalize(), before);
     }

@@ -5,13 +5,16 @@
 //! endpoints, L5P layers), a directed-pair [`LinkRegistry`], and the event
 //! queue. Topology worlds are built with [`World::with_topology`] +
 //! [`World::add_link`] + [`World::connect_pair`] (see
-//! [`crate::topology::Fleet`] for the N×M builder); [`World::new`] remains
-//! the two-host client↔server façade every scenario and golden-trace test
-//! runs through — host 0, host 1, `links` ids 0 (`0→1`) and 1 (`1→0`),
-//! byte-identical event ordering. Connections are created with a
-//! [`ConnSpec`] per endpoint; autonomous offload engines are installed on
-//! the owning host's NIC according to the spec. Applications
-//! ([`crate::app::HostApp`]) drive traffic and receive events.
+//! [`crate::topology::Fleet`] for the N×M builder; scenarios and
+//! golden-trace tests build a 1×1 fleet). [`World::new`] is the two-host
+//! client↔server façade — host 0, host 1, `links` ids 0 (`0→1`) and 1
+//! (`1→0`) — that the figure and bench runners, apps, examples and the
+//! stack's own tests build. Connections are created with a [`ConnSpec`]
+//! per endpoint, which splits into an optional TLS layer over one L5 layer
+//! (raw bytes, NVMe initiator or NVMe controller); autonomous offload
+//! engines are installed on the owning host's NIC according to the spec.
+//! Applications ([`crate::app::HostApp`]) drive traffic and receive
+//! events.
 //!
 //! Timing model: every packet charges the paper-calibrated per-packet stack
 //! costs to the connection's core; L5P layers return their own cycle counts
@@ -149,6 +152,27 @@ pub enum ConnSpec {
     NvmeTlsHost(NvmeHostSpec, TlsSpec),
     /// NVMe-TCP controller inside TLS.
     NvmeTlsTarget(NvmeTargetSpec, TlsSpec),
+}
+
+/// The L5 role half of a [`ConnSpec`].
+enum L5Role<'a> {
+    Raw,
+    Host(&'a NvmeHostSpec),
+    Target(&'a NvmeTargetSpec),
+}
+
+impl ConnSpec {
+    /// Splits the spec into its layers: optional TLS over one L5 role.
+    fn layers(&self) -> (Option<&TlsSpec>, L5Role<'_>) {
+        match self {
+            ConnSpec::Raw => (None, L5Role::Raw),
+            ConnSpec::Tls(t) => (Some(t), L5Role::Raw),
+            ConnSpec::NvmeHost(n) => (None, L5Role::Host(n)),
+            ConnSpec::NvmeTarget(n) => (None, L5Role::Target(n)),
+            ConnSpec::NvmeTlsHost(n, t) => (Some(t), L5Role::Host(n)),
+            ConnSpec::NvmeTlsTarget(n, t) => (Some(t), L5Role::Target(n)),
+        }
+    }
 }
 
 /// Offload degradation policy: how the driver reacts when the device
@@ -468,6 +492,10 @@ pub(crate) type RxFactory = Rc<dyn Fn(Option<u64>) -> RxEngine>;
 /// `l5o_get_tx_msgstate` + byte-replay path on the first packet it sees.
 pub(crate) type TxFactory = Rc<dyn Fn() -> TxEngine>;
 
+/// Builds a fresh L5 flow (the protocol half of an engine); the rx and tx
+/// factories wrap it alone or nested inside the TLS flow.
+type FlowFactory = Rc<dyn Fn() -> Box<dyn L5Flow>>;
+
 fn mk_rx(flow: Box<dyn L5Flow>, at: Option<u64>) -> RxEngine {
     match at {
         None => RxEngine::new(flow, 0, 0),
@@ -592,35 +620,31 @@ impl L5TxSource for InnerTxShared {
     }
 }
 
-/// Protocol glue per connection endpoint.
-pub(crate) enum Proto {
+/// The TLS layer of an endpoint: kTLS transmit and receive, plus — only
+/// when an NVMe layer sits under it — the retained capsule stream the
+/// nested NVMe tx engine recovers from.
+pub(crate) struct TlsLayer {
+    pub(crate) ktls_tx: KtlsTx,
+    pub(crate) ktls_rx: KtlsRx,
+    pub(crate) inner: Option<Rc<RefCell<InnerTxShared>>>,
+}
+
+/// The L5 protocol an endpoint speaks, directly over TCP or inside TLS.
+pub(crate) enum L5 {
     Raw,
-    Tls {
-        tx: KtlsTx,
-        rx: KtlsRx,
-    },
-    NvmeHost {
-        host: NvmeTcpHost,
-    },
+    NvmeHost(NvmeTcpHost),
     NvmeTarget {
         target: NvmeTcpTarget,
         pending: BTreeMap<u64, Reply>,
         next_token: u64,
     },
-    NvmeTlsHost {
-        tls_tx: KtlsTx,
-        tls_rx: KtlsRx,
-        host: NvmeTcpHost,
-        inner: Rc<RefCell<InnerTxShared>>,
-    },
-    NvmeTlsTarget {
-        tls_tx: KtlsTx,
-        tls_rx: KtlsRx,
-        target: NvmeTcpTarget,
-        pending: BTreeMap<u64, Reply>,
-        next_token: u64,
-        inner: Rc<RefCell<InnerTxShared>>,
-    },
+}
+
+/// Protocol glue per connection endpoint: an optional TLS layer over one
+/// L5 layer.
+pub(crate) struct Proto {
+    pub(crate) tls: Option<TlsLayer>,
+    pub(crate) l5: L5,
 }
 
 /// One endpoint of a connection.
@@ -803,9 +827,9 @@ pub struct World {
 impl World {
     /// Builds the two-host client↔server façade: hosts 0 and 1 from
     /// `cfg.cores` / `cfg.nic`, links `0→1` (registry id 0, with
-    /// `cfg.impair_0to1`) and `1→0` (id 1, `cfg.impair_1to0`). Every
-    /// pre-topology scenario, chaos and golden-trace test runs through
-    /// this constructor unchanged.
+    /// `cfg.impair_0to1`) and `1→0` (id 1, `cfg.impair_1to0`). Scenarios
+    /// and golden traces build a 1×1 [`crate::topology::Fleet`] instead;
+    /// the figure and bench runners, examples and stack tests use this.
     pub fn new(cfg: WorldConfig) -> World {
         let specs = [0, 1].map(|i| HostSpec {
             cores: cfg.cores[i],
@@ -920,25 +944,8 @@ impl World {
         self.apps[host] = Some(app);
     }
 
-    /// Replaces the façade link's impairments mid-run (loss/reorder
-    /// sweeps). `true` is the `0→1` direction; topology worlds address
-    /// links by pair via [`World::set_impairments_between`].
-    pub fn set_impairments(&mut self, dir0to1: bool, imp: Impairments) {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.set_impairments_between(src, dst, imp);
-    }
-
-    /// Installs a scripted per-packet schedule on one façade link
-    /// direction, keeping that direction's probabilistic knobs (scenario
-    /// harness hook; scripting only `dir0to1 = false` gives asymmetric
-    /// ACK-path adversity for a 0→1 data flow).
-    pub fn set_script(&mut self, dir0to1: bool, script: ano_sim::link::Script) {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.set_script_between(src, dst, script);
-    }
-
-    /// Replaces the `src → dst` link's impairments (per-pair partitions
-    /// and sweeps in topology worlds).
+    /// Replaces the `src → dst` link's impairments mid-run (loss/reorder
+    /// sweeps, per-pair partitions).
     ///
     /// # Panics
     ///
@@ -992,21 +999,15 @@ impl World {
         let flow0 = FlowId(id.0 as u64 * 2);
         let flow1 = FlowId(id.0 as u64 * 2 + 1);
 
-        let sess01 = TlsSession::from_seed(self.cfg.seed ^ flow0.0.wrapping_mul(0x9E37_79B9));
-        let sess10 = TlsSession::from_seed(self.cfg.seed ^ flow1.0.wrapping_mul(0x9E37_79B9));
-        // Frame indexes per direction: TLS records in TCP-stream offsets,
-        // NVMe capsules in their own (plaintext) stream offsets.
-        let tls_f01 = FrameIndex::new();
-        let tls_f10 = FrameIndex::new();
-        let nvme_f01 = FrameIndex::new();
-        let nvme_f10 = FrameIndex::new();
-
-        let mut b0 = self.build_endpoint(&spec0, &sess01, &sess10, &tls_f01, &tls_f10, &nvme_f01, &nvme_f10);
-        let mut b1 = self.build_endpoint(&spec1, &sess10, &sess01, &tls_f10, &tls_f01, &nvme_f10, &nvme_f01);
-        // L5P receive layers are labeled with the flow they consume; the
-        // NIC scopes engine handles itself at install time.
-        attach_proto_tracer(&mut b0.proto, &self.tracer, flow1);
-        attach_proto_tracer(&mut b1.proto, &self.tracer, flow0);
+        let seed = self.cfg.seed;
+        let dir = |flow: FlowId| Direction {
+            sess: TlsSession::from_seed(seed ^ flow.0.wrapping_mul(0x9E37_79B9)),
+            tls_frames: FrameIndex::new(),
+            l5_frames: FrameIndex::new(),
+        };
+        let (d01, d10) = (dir(flow0), dir(flow1));
+        let b0 = self.build_endpoint(&spec0, &d01, &d10, flow1);
+        let b1 = self.build_endpoint(&spec1, &d10, &d01, flow0);
 
         // Receive-side placement. Single-queue hosts keep the historical
         // round-robin core assignment (byte-identical to every pre-RSS
@@ -1492,89 +1493,53 @@ impl World {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Builds one endpoint of a connection: each layer of `spec` once (the
+    /// L5 role, then TLS over it when present) and the NIC engine factories
+    /// composed from the same two pieces — the L5 flow alone, or nested
+    /// inside the TLS flow. `out`/`inc` are the endpoint's outgoing and
+    /// incoming directions; receive layers trace as `in_flow`.
     fn build_endpoint(
-        &mut self,
+        &self,
         spec: &ConnSpec,
-        sess_out: &TlsSession,
-        sess_in: &TlsSession,
-        tls_f_out: &FrameIndex,
-        tls_f_in: &FrameIndex,
-        nvme_f_out: &FrameIndex,
-        nvme_f_in: &FrameIndex,
+        out: &Direction,
+        inc: &Direction,
+        in_flow: FlowId,
     ) -> BuiltEndpoint {
         let mode = self.cfg.mode;
         let modeled = mode == DataMode::Modeled;
-        let nm = |f: &FrameIndex| nmode(modeled, f);
-        match spec {
-            ConnSpec::Raw => BuiltEndpoint {
-                proto: Proto::Raw,
-                tx_factory: None,
-                rx_factory: None,
-            },
-            ConnSpec::Tls(t) => {
-                let tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, fi) = (sess_out.clone(), tls_f_out.clone());
-                    Rc::new(move || {
-                        TxEngine::new(Box::new(TlsTxFlow::new(sess.clone(), fmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, fi) = (sess_in.clone(), tls_f_in.clone());
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(Box::new(TlsRxFlow::new(sess.clone(), fmode(modeled, &fi))), at)
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::Tls { tx, rx },
-                    tx_factory,
-                    rx_factory,
-                }
-            }
-            ConnSpec::NvmeHost(n) => {
+        let tracer = self.tracer.scoped(in_flow.0);
+        let (tls_spec, role) = spec.layers();
+        let parser = || PduParser::new(nmode(modeled, &inc.l5_frames));
+        let nvme_tx = || {
+            let fi = out.l5_frames.clone();
+            Rc::new(move || Box::new(NvmeTxFlow::new(nmode(modeled, &fi))) as Box<dyn L5Flow>)
+                as FlowFactory
+        };
+        let (l5, l5_rx, l5_tx) = match role {
+            L5Role::Raw => (L5::Raw, None, None),
+            L5Role::Host(n) => {
                 let rr = RrMap::new();
-                let host = NvmeTcpHost::with_frames(
+                let mut host = NvmeTcpHost::with_frames(
                     NvmeHostConfig {
                         mode,
                         copy_offload: n.copy_offload,
                         crc_offload: n.crc_offload,
                     },
                     rr.clone(),
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
+                    parser(),
+                    out.l5_frames.clone(),
                 );
-                let tx_factory = n.crc_tx_offload.then(|| {
-                    let fi = nvme_f_out.clone();
+                host.set_tracer(tracer.clone());
+                let rx = (n.copy_offload || n.crc_offload).then(|| {
+                    let (fi, copy) = (inc.l5_frames.clone(), n.copy_offload);
                     Rc::new(move || {
-                        TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
+                        Box::new(NvmeRxFlow::new(nmode(modeled, &fi), rr.clone(), copy))
+                            as Box<dyn L5Flow>
+                    }) as FlowFactory
                 });
-                let rx_factory = (n.copy_offload || n.crc_offload).then(|| {
-                    let (fi, rr, copy) = (nvme_f_in.clone(), rr.clone(), n.copy_offload);
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(
-                            Box::new(NvmeRxFlow::new(nmode(modeled, &fi), rr.clone(), copy)),
-                            at,
-                        )
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeHost { host },
-                    tx_factory,
-                    rx_factory,
-                }
+                (L5::NvmeHost(host), rx, n.crc_tx_offload.then(nvme_tx))
             }
-            ConnSpec::NvmeTarget(t) => {
+            L5Role::Target(t) => {
                 let device = BlockDevice::new(BlockDeviceConfig {
                     mode,
                     ..t.device
@@ -1587,166 +1552,83 @@ impl World {
                         max_data_pdu: t.max_data_pdu,
                     },
                     device,
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
+                    parser(),
+                    out.l5_frames.clone(),
                 );
-                let tx_factory = t.crc_tx_offload.then(|| {
-                    let fi = nvme_f_out.clone();
+                let rx = t.crc_rx_offload.then(|| {
+                    let fi = inc.l5_frames.clone();
                     Rc::new(move || {
-                        TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
+                        Box::new(NvmeRxFlow::new(nmode(modeled, &fi), RrMap::new(), false))
+                            as Box<dyn L5Flow>
+                    }) as FlowFactory
                 });
-                let rx_factory = t.crc_rx_offload.then(|| {
-                    let fi = nvme_f_in.clone();
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(
-                            Box::new(NvmeRxFlow::new(nmode(modeled, &fi), RrMap::new(), false)),
-                            at,
-                        )
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTarget {
-                        target,
-                        pending: BTreeMap::new(),
-                        next_token: 0,
-                    },
-                    tx_factory,
-                    rx_factory,
-                }
+                let l5 = L5::NvmeTarget {
+                    target,
+                    pending: BTreeMap::new(),
+                    next_token: 0,
+                };
+                (l5, rx, t.crc_tx_offload.then(nvme_tx))
             }
-            ConnSpec::NvmeTlsHost(n, t) => {
-                let rr = RrMap::new();
-                let tls_tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let tls_rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let host = NvmeTcpHost::with_frames(
-                    NvmeHostConfig {
-                        mode,
-                        copy_offload: n.copy_offload,
-                        crc_offload: n.crc_offload,
-                    },
-                    rr.clone(),
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
-                );
-                let inner: Rc<RefCell<InnerTxShared>> = Rc::new(RefCell::new(InnerTxShared::default()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_out.clone(), tls_f_out.clone(), nvme_f_out.clone());
-                    let (inner, crc_tx) = (Rc::clone(&inner), n.crc_tx_offload);
-                    Rc::new(move || {
-                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_tx {
-                            flow = flow.with_inner(
-                                TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &nfi))), 0, 0),
-                                Rc::clone(&inner) as Rc<RefCell<dyn L5TxSource>>,
-                            );
-                        }
-                        TxEngine::new(Box::new(flow), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_in.clone(), tls_f_in.clone(), nvme_f_in.clone());
-                    let (rr, copy, crc) = (rr.clone(), n.copy_offload, n.crc_offload);
-                    Rc::new(move |at: Option<u64>| {
-                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if copy || crc {
-                            flow = flow.with_inner(RxEngine::new(
-                                Box::new(NvmeRxFlow::new(nmode(modeled, &nfi), rr.clone(), copy)),
-                                0,
-                                0,
-                            ));
-                        }
-                        mk_rx(Box::new(flow), at)
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTlsHost {
-                        tls_tx,
-                        tls_rx,
-                        host,
-                        inner,
-                    },
-                    tx_factory,
-                    rx_factory,
+        };
+        let Some(t) = tls_spec else {
+            return BuiltEndpoint {
+                proto: Proto { tls: None, l5 },
+                rx_factory: l5_rx
+                    .map(|f| Rc::new(move |at: Option<u64>| mk_rx(f(), at)) as RxFactory),
+                tx_factory: l5_tx.map(|f| Rc::new(move || TxEngine::new(f(), 0, 0)) as TxFactory),
+            };
+        };
+        let ktls_tx = KtlsTx::with_frames(
+            out.sess.clone(),
+            KtlsTxConfig {
+                offload: t.tx_offload,
+                zerocopy: t.zerocopy,
+                mode,
+            },
+            out.tls_frames.clone(),
+        );
+        let mut ktls_rx = KtlsRx::new(
+            inc.sess.clone(),
+            mode,
+            modeled.then(|| inc.tls_frames.clone()),
+        );
+        ktls_rx.set_tracer(tracer);
+        let inner =
+            (!matches!(l5, L5::Raw)).then(|| Rc::new(RefCell::new(InnerTxShared::default())));
+        let rx_factory = t.rx_offload.then(|| {
+            let (sess, fi) = (inc.sess.clone(), inc.tls_frames.clone());
+            Rc::new(move |at: Option<u64>| {
+                let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &fi));
+                if let Some(f) = &l5_rx {
+                    flow = flow.with_inner(RxEngine::new(f(), 0, 0));
                 }
-            }
-            ConnSpec::NvmeTlsTarget(tg, t) => {
-                let device = BlockDevice::new(BlockDeviceConfig {
-                    mode,
-                    ..tg.device
-                });
-                let tls_tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let tls_rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let target = NvmeTcpTarget::with_frames(
-                    NvmeTargetConfig {
-                        mode,
-                        crc_tx_offload: tg.crc_tx_offload,
-                        crc_rx_offload: tg.crc_rx_offload,
-                        max_data_pdu: tg.max_data_pdu,
-                    },
-                    device,
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
-                );
-                let inner: Rc<RefCell<InnerTxShared>> = Rc::new(RefCell::new(InnerTxShared::default()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_out.clone(), tls_f_out.clone(), nvme_f_out.clone());
-                    let (inner, crc_tx) = (Rc::clone(&inner), tg.crc_tx_offload);
-                    Rc::new(move || {
-                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_tx {
-                            flow = flow.with_inner(
-                                TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &nfi))), 0, 0),
-                                Rc::clone(&inner) as Rc<RefCell<dyn L5TxSource>>,
-                            );
-                        }
-                        TxEngine::new(Box::new(flow), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_in.clone(), tls_f_in.clone(), nvme_f_in.clone());
-                    let crc_rx = tg.crc_rx_offload;
-                    Rc::new(move |at: Option<u64>| {
-                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_rx {
-                            flow = flow.with_inner(RxEngine::new(
-                                Box::new(NvmeRxFlow::new(nmode(modeled, &nfi), RrMap::new(), false)),
-                                0,
-                                0,
-                            ));
-                        }
-                        mk_rx(Box::new(flow), at)
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTlsTarget {
-                        tls_tx,
-                        tls_rx,
-                        target,
-                        pending: BTreeMap::new(),
-                        next_token: 0,
-                        inner,
-                    },
-                    tx_factory,
-                    rx_factory,
+                mk_rx(Box::new(flow), at)
+            }) as RxFactory
+        });
+        let tx_factory = t.tx_offload.then(|| {
+            let (sess, fi, inner) = (out.sess.clone(), out.tls_frames.clone(), inner.clone());
+            Rc::new(move || {
+                let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &fi));
+                if let (Some(f), Some(src)) = (&l5_tx, &inner) {
+                    flow = flow.with_inner(
+                        TxEngine::new(f(), 0, 0),
+                        Rc::clone(src) as Rc<RefCell<dyn L5TxSource>>,
+                    );
                 }
-            }
+                TxEngine::new(Box::new(flow), 0, 0)
+            }) as TxFactory
+        });
+        BuiltEndpoint {
+            proto: Proto {
+                tls: Some(TlsLayer {
+                    ktls_tx,
+                    ktls_rx,
+                    inner,
+                }),
+                l5,
+            },
+            tx_factory,
+            rx_factory,
         }
     }
 
@@ -1807,11 +1689,6 @@ impl World {
         self.hosts[host].migrations
     }
 
-    /// The RSS indirection table of a host's NIC (`bucket → queue`).
-    pub fn rss_table(&self, host: usize) -> &[u16] {
-        self.hosts[host].nic.rss_table()
-    }
-
     /// Replaces the RSS indirection table of a host's NIC — the software
     /// knob tests use to induce (or cure) queue imbalance. Flows already
     /// hashed to a remapped bucket cross queues on their next packet,
@@ -1869,20 +1746,14 @@ impl World {
 
     /// kTLS receive stats (record classification, Fig. 17b/18b).
     pub fn ktls_rx_stats(&self, host: usize, conn: ConnId) -> Option<ano_tls::ktls::KtlsRxStats> {
-        match &self.hosts[host].conns.get(&conn)?.proto {
-            Proto::Tls { rx, .. } => Some(rx.stats()),
-            Proto::NvmeTlsHost { tls_rx, .. } | Proto::NvmeTlsTarget { tls_rx, .. } => {
-                Some(tls_rx.stats())
-            }
-            _ => None,
-        }
+        let tls = self.hosts[host].conns.get(&conn)?.proto.tls.as_ref()?;
+        Some(tls.ktls_rx.stats())
     }
 
     /// NVMe host stats for an initiator connection.
     pub fn nvme_host_stats(&self, host: usize, conn: ConnId) -> Option<ano_nvme::host::NvmeHostStats> {
-        match &self.hosts[host].conns.get(&conn)?.proto {
-            Proto::NvmeHost { host: h } => Some(h.stats()),
-            Proto::NvmeTlsHost { host: h, .. } => Some(h.stats()),
+        match &self.hosts[host].conns.get(&conn)?.proto.l5 {
+            L5::NvmeHost(h) => Some(h.stats()),
             _ => None,
         }
     }
@@ -1929,12 +1800,9 @@ impl World {
     /// Sets the NVMe copy-cost working-set hint for a host connection
     /// (drives Fig. 10's LLC cliff).
     pub fn set_nvme_working_set(&mut self, host: usize, conn: ConnId, ws: u64) {
-        if let Some(c) = self.hosts[host].conns.get_mut(&conn) {
-            match &mut c.proto {
-                Proto::NvmeHost { host: h } => h.working_set = ws,
-                Proto::NvmeTlsHost { host: h, .. } => h.working_set = ws,
-                _ => {}
-            }
+        let l5 = self.hosts[host].conns.get_mut(&conn).map(|c| &mut c.proto.l5);
+        if let Some(L5::NvmeHost(h)) = l5 {
+            h.working_set = ws;
         }
     }
 }
@@ -1948,32 +1816,26 @@ struct BuiltEndpoint {
     rx_factory: Option<RxFactory>,
 }
 
-/// Hands flow-scoped tracer clones to the endpoint's L5P receive layers
-/// (`in_flow` is the flow whose bytes they consume). Transmit layers trace
-/// through the TCP sender and tx engine, which are scoped elsewhere.
-fn attach_proto_tracer(proto: &mut Proto, tracer: &ano_trace::Tracer, in_flow: FlowId) {
-    match proto {
-        Proto::Raw | Proto::NvmeTarget { .. } => {}
-        Proto::Tls { rx, .. } => rx.set_tracer(tracer.scoped(in_flow.0)),
-        Proto::NvmeHost { host } => host.set_tracer(tracer.scoped(in_flow.0)),
-        Proto::NvmeTlsHost { tls_rx, host, .. } => {
-            tls_rx.set_tracer(tracer.scoped(in_flow.0));
-            host.set_tracer(tracer.scoped(in_flow.0));
-        }
-        Proto::NvmeTlsTarget { tls_rx, .. } => tls_rx.set_tracer(tracer.scoped(in_flow.0)),
-    }
+/// Per-direction state both ends of a connection share: the TLS session
+/// and the frame indexes — TLS records in TCP-stream offsets, L5 capsules
+/// in their own (plaintext) stream offsets.
+struct Direction {
+    sess: TlsSession,
+    tls_frames: FrameIndex,
+    l5_frames: FrameIndex,
 }
 
+/// Panics unless the two ends agree on TLS and speak complementary L5
+/// roles (Raw with Raw, an NVMe host with an NVMe target).
 fn check_pairing(a: &ConnSpec, b: &ConnSpec) {
-    let ok = matches!(
-        (a, b),
-        (ConnSpec::Raw, ConnSpec::Raw)
-            | (ConnSpec::Tls(_), ConnSpec::Tls(_))
-            | (ConnSpec::NvmeHost(_), ConnSpec::NvmeTarget(_))
-            | (ConnSpec::NvmeTarget(_), ConnSpec::NvmeHost(_))
-            | (ConnSpec::NvmeTlsHost(..), ConnSpec::NvmeTlsTarget(..))
-            | (ConnSpec::NvmeTlsTarget(..), ConnSpec::NvmeTlsHost(..))
-    );
+    let ((tls_a, l5_a), (tls_b, l5_b)) = (a.layers(), b.layers());
+    let ok = tls_a.is_some() == tls_b.is_some()
+        && matches!(
+            (l5_a, l5_b),
+            (L5Role::Raw, L5Role::Raw)
+                | (L5Role::Host(_), L5Role::Target(_))
+                | (L5Role::Target(_), L5Role::Host(_))
+        );
     assert!(ok, "incompatible connection specs");
 }
 
@@ -2011,11 +1873,38 @@ mod tests {
 
     #[test]
     fn connect_rejects_mismatched_specs() {
-        let result = std::panic::catch_unwind(|| {
-            let mut w = World::new(WorldConfig::default());
-            w.connect(ConnSpec::Raw, ConnSpec::Tls(TlsSpec::default()));
-        });
-        assert!(result.is_err());
+        let specs = [
+            ConnSpec::Raw,
+            ConnSpec::Tls(TlsSpec::default()),
+            ConnSpec::NvmeHost(NvmeHostSpec::default()),
+            ConnSpec::NvmeTarget(NvmeTargetSpec::default()),
+            ConnSpec::NvmeTlsHost(NvmeHostSpec::default(), TlsSpec::default()),
+            ConnSpec::NvmeTlsTarget(NvmeTargetSpec::default(), TlsSpec::default()),
+        ];
+        // Indexes into `specs` of the six legal (initiator-side, peer) pairs.
+        let legal = [(0, 0), (1, 1), (2, 3), (3, 2), (4, 5), (5, 4)];
+        for (i, a) in specs.iter().enumerate() {
+            for (j, b) in specs.iter().enumerate() {
+                let result = std::panic::catch_unwind(|| {
+                    let mut w = World::new(WorldConfig::default());
+                    w.connect(a.clone(), b.clone());
+                });
+                if legal.contains(&(i, j)) {
+                    assert!(result.is_ok(), "{a:?} x {b:?} must connect");
+                } else {
+                    let err = result.expect_err("mismatched pair must panic");
+                    let msg = err
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or_default();
+                    assert!(
+                        msg.contains("incompatible connection specs"),
+                        "{a:?} x {b:?}: unexpected panic {msg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

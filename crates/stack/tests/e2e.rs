@@ -250,57 +250,89 @@ fn nvme_read_without_offload_copies_in_software() {
     assert!(b.iter().enumerate().all(|(j, &v)| v == pattern_byte(j as u64)));
 }
 
+/// Several 40 KB writes, then one read-back of the whole range, over plain
+/// NVMe-TCP and NVMe-TCP inside TLS, on a clean link and with loss on the
+/// host→target direction that carries the write data. Inside TLS the
+/// host's CRC-fill engine runs nested under the TLS tx engine (recovered
+/// through the retained capsule stream) and the target's CRC-verify engine
+/// runs nested under the TLS rx engine.
 #[test]
 fn nvme_write_roundtrip() {
+    const WRITES: u64 = 4;
+    const LEN: u64 = 40_000;
     struct Writer {
         conn: ConnId,
         done: Rc<RefCell<Vec<ano_nvme::host::Completion>>>,
-        read_after: bool,
     }
     impl HostApp for Writer {
         fn on_event(&mut self, api: &mut HostApi, event: AppEvent<'_>) {
             match event {
                 AppEvent::Start => {
-                    let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-                    api.nvme_write(self.conn, 1, 8192, Payload::real(data));
+                    for i in 0..WRITES {
+                        let data: Vec<u8> =
+                            (i * LEN..(i + 1) * LEN).map(|j| (j % 97) as u8).collect();
+                        api.nvme_write(self.conn, i, 8192 + i * LEN, Payload::real(data));
+                    }
                 }
                 AppEvent::NvmeDone { completion, .. } => {
-                    self.done.borrow_mut().push(completion.clone());
-                    if !self.read_after {
-                        self.read_after = true;
-                        api.nvme_read(self.conn, 2, 8192, 10_000);
+                    let mut done = self.done.borrow_mut();
+                    done.push(completion.clone());
+                    if done.len() as u64 == WRITES {
+                        api.nvme_read(self.conn, WRITES, 8192, (WRITES * LEN) as u32);
                     }
                 }
                 _ => {}
             }
         }
     }
-    let mut w = World::new(functional_cfg(16));
-    let conn = w.connect(
-        ConnSpec::NvmeHost(NvmeHostSpec::offloaded()),
-        ConnSpec::NvmeTarget(NvmeTargetSpec {
-            crc_tx_offload: true,
-            crc_rx_offload: true,
-            ..Default::default()
-        }),
-    );
-    let done = Rc::new(RefCell::new(Vec::new()));
-    w.set_app(
-        0,
-        Box::new(Writer {
-            conn,
-            done: Rc::clone(&done),
-            read_after: false,
-        }),
-    );
-    w.start();
-    w.run_until(SimTime::from_secs(5));
-    let comps = done.borrow();
-    assert_eq!(comps.len(), 2, "write then read-back completed");
-    assert!(comps.iter().all(|c| c.ok));
-    let expect: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-    let read_back = comps[1].buffer.as_ref().expect("read buffer").borrow();
-    assert_eq!(&read_back[..], &expect[..], "written bytes read back via the wire");
+    let target = NvmeTargetSpec {
+        crc_tx_offload: true,
+        crc_rx_offload: true,
+        ..Default::default()
+    };
+    for tls in [false, true] {
+        for loss in [0.0, 0.02] {
+            let case = format!("tls={tls} loss={loss}");
+            let mut w = World::new(WorldConfig {
+                impair_0to1: Impairments::loss(loss),
+                ..functional_cfg(16)
+            });
+            let conn = if tls {
+                w.connect(
+                    ConnSpec::NvmeTlsHost(NvmeHostSpec::offloaded(), TlsSpec::offloaded()),
+                    ConnSpec::NvmeTlsTarget(target.clone(), TlsSpec::offloaded()),
+                )
+            } else {
+                w.connect(
+                    ConnSpec::NvmeHost(NvmeHostSpec::offloaded()),
+                    ConnSpec::NvmeTarget(target.clone()),
+                )
+            };
+            let done = Rc::new(RefCell::new(Vec::new()));
+            w.set_app(
+                0,
+                Box::new(Writer {
+                    conn,
+                    done: Rc::clone(&done),
+                }),
+            );
+            w.start();
+            w.run_until(SimTime::from_secs(30));
+            let comps = done.borrow();
+            assert_eq!(comps.len() as u64, WRITES + 1, "{case}: writes then read-back completed");
+            assert!(comps.iter().all(|c| c.ok), "{case}: every digest verified");
+            let read_back = comps[WRITES as usize].buffer.as_ref().expect("read buffer").borrow();
+            assert!(
+                read_back.iter().enumerate().all(|(j, &v)| v == (j % 97) as u8),
+                "{case}: written bytes read back via the wire"
+            );
+            let tx = w.tx_engine_stats(0, conn).expect("host tx engine");
+            assert!(tx.pkts_offloaded > 0, "{case}: host tx offload ran");
+            if loss > 0.0 {
+                assert!(tx.replay_bytes > 0, "{case}: retransmitted write data replayed the tx context");
+            }
+        }
+    }
 }
 
 #[test]

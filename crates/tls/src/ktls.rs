@@ -585,7 +585,7 @@ impl KtlsRx {
                     // ano-lint: allow(transitive-panic): flipped window bounded by plen and the take clamps
                     let mut flipped = body_tag[..plen].to_vec();
                     let mut enc = GcmStream::new(
-                        self.session.aes().clone(),
+                        *self.session.aes(),
                         &self.session.nonce(seq),
                         &hdr,
                         Direction::Encrypt,
@@ -778,7 +778,7 @@ mod tests {
         let mut first = wire[..split].to_vec();
         // NIC decrypts bytes [5, 4000) in place.
         let mut dec = GcmStream::new(
-            s.aes().clone(),
+            *s.aes(),
             &s.nonce(0),
             &wire[..HEADER_LEN],
             Direction::Decrypt,

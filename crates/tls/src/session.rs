@@ -101,7 +101,7 @@ impl TlsSession {
     /// Starts an incremental stream for record `seq` (what the NIC context
     /// holds), with the record header as AAD.
     pub fn stream(&self, seq: u64, hdr: &[u8; HEADER_LEN], dir: Direction) -> GcmStream {
-        GcmStream::new(self.aes.clone(), &self.nonce(seq), hdr, dir)
+        GcmStream::new(self.aes, &self.nonce(seq), hdr, dir)
     }
 }
 

@@ -117,7 +117,7 @@ fn constant_size_state_preconditions() {
     // Split at an awkward offset, export, resume — like a NIC context
     // evicted to host memory and restored (§6.5).
     let mut buf = data.clone();
-    let mut s = GcmStream::new(aes.clone(), &iv, b"", Direction::Encrypt);
+    let mut s = GcmStream::new(aes, &iv, b"", Direction::Encrypt);
     s.process(&mut buf[..1234]);
     let saved = s.export();
     let mut s2 = GcmStream::resume(aes, &iv, &saved);
